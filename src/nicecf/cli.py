@@ -22,8 +22,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConfigError, EngineError, IngestError, NoUnlikeNeighborError
 from .evaluation import (
@@ -218,9 +219,9 @@ def _single_model_spec(args) -> str:
     return specs[0]
 
 
-def _build_model(spec: str, stats, train: Dataset, seed: int) -> ClassifierHandle:
+def _build_model(spec: str, stats, train: Dataset) -> ClassifierHandle:
     if spec == "builtin:logistic":
-        return train_logistic(stats, train, seed=seed)
+        return train_logistic(stats, train)
     if spec == "builtin:knn" or spec.startswith("builtin:knn:"):
         rest = spec[len("builtin:knn"):]
         if rest == "":
@@ -331,7 +332,7 @@ def _cmd_train(args) -> int:
     spec = _single_model_spec(args)
     if not spec.startswith("builtin:"):
         raise ConfigError("train persists built-in models only (builtin:...)")
-    model = _build_model(spec, stats, data, args.seed)
+    model = _build_model(spec, stats, data)
     out = _ensure_out(args)
     doc: dict = {"model": spec, "seed": args.seed, "stats": stats_to_dicts(stats)}
     if spec == "builtin:logistic":
@@ -358,12 +359,14 @@ def _cmd_train_ae(args) -> int:
     return 0
 
 
-def _make_context(args, data: Dataset, spec: str) -> SearchContext:
+@contextmanager
+def _search_context(args, data: Dataset, spec: str) -> Iterator[SearchContext]:
+    """A search context over ``data``; its model is closed when the block exits."""
     stats = fit_stats(data)
     weights = _load_weights(args, stats)
-    model = _build_model(spec, stats, data, args.seed)
-    ae = train_autoencoder(data, AEConfig(seed=args.seed), stats)
-    return SearchContext(data, stats, model, weights, ae_scorer(ae, stats))
+    with closing(_build_model(spec, stats, data)) as model:
+        ae = train_autoencoder(data, AEConfig(seed=args.seed), stats)
+        yield SearchContext(data, stats, model, weights, ae_scorer(ae, stats))
 
 
 def _cmd_explain(args) -> int:
@@ -371,36 +374,36 @@ def _cmd_explain(args) -> int:
     if data.labels is None:
         raise ConfigError("explaining requires a labeled dataset")
     spec = _single_model_spec(args)
-    ctx = _make_context(args, data, spec)
-    kind = RewardKind(args.variant)
-    names = [s.name for s in data.schema]
-    if args.index is not None:
-        if not 0 <= args.index < len(data):
-            raise ConfigError(f"--index {args.index} outside 0..{len(data) - 1}")
-        rows = [(args.index, data.rows[args.index])]
-    else:
-        rows = list(enumerate(data.rows))[: args.max_instances]
-    ctx.warm()
-    results = _run_instances(
-        [r for _, r in rows], [f"nice-{kind.value}"], ctx, args.workers
-    )
-    docs = []
-    for (row_index, _), per_instance in zip(rows, results):
-        eid, expl, elapsed = per_instance[0]
-        if expl is None:
-            docs.append(
-                {"explainer": eid, "row": row_index, "valid": False,
-                 "error": "no unlike neighbor", "elapsed_ms": elapsed}
-            )
-            continue
-        rec = compute_metrics(expl, ctx, row_index)
-        doc = explanation_to_dict(
-            expl, names,
-            {"sparsity": rec.sparsity, "proximity": rec.proximity,
-             "ae_error": rec.ae_error, "knn5": rec.knn5},
+    with _search_context(args, data, spec) as ctx:
+        kind = RewardKind(args.variant)
+        names = [s.name for s in data.schema]
+        if args.index is not None:
+            if not 0 <= args.index < len(data):
+                raise ConfigError(f"--index {args.index} outside 0..{len(data) - 1}")
+            rows = [(args.index, data.rows[args.index])]
+        else:
+            rows = list(enumerate(data.rows))[: args.max_instances]
+        ctx.warm()
+        results = _run_instances(
+            [r for _, r in rows], [f"nice-{kind.value}"], ctx, args.workers
         )
-        doc["row"] = row_index
-        docs.append(doc)
+        docs = []
+        for (row_index, _), per_instance in zip(rows, results):
+            eid, expl, elapsed = per_instance[0]
+            if expl is None:
+                docs.append(
+                    {"explainer": eid, "row": row_index, "valid": False,
+                     "error": "no unlike neighbor", "elapsed_ms": elapsed}
+                )
+                continue
+            rec = compute_metrics(expl, ctx, row_index)
+            doc = explanation_to_dict(
+                expl, names,
+                {"sparsity": rec.sparsity, "proximity": rec.proximity,
+                 "ae_error": rec.ae_error, "knn5": rec.knn5},
+            )
+            doc["row"] = row_index
+            docs.append(doc)
     payload = docs[0] if args.index is not None else docs
     text = json.dumps(payload, indent=2)
     out = _ensure_out(args)
@@ -413,38 +416,33 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _benchmark_records(
-    args, spec: str
-) -> tuple[list[MetricRecord], SearchContext, Dataset, list]:
+def _benchmark_records(args, spec: str) -> tuple[list[MetricRecord], SearchContext, list]:
+    """Explain the test split; the returned context's model is already closed."""
     data = _load(args)
     if data.labels is None:
         raise ConfigError("benchmarking requires a labeled dataset")
     train, test = split(data, args.test_fraction, args.seed)
-    stats = fit_stats(train)
-    weights = _load_weights(args, stats)
-    model = _build_model(spec, stats, train, args.seed)
-    ae = train_autoencoder(train, AEConfig(seed=args.seed), stats)
-    ctx = SearchContext(train, stats, model, weights, ae_scorer(ae, stats))
-    explainer_ids = _parse_explainers(args.explainers)
-    ctx.warm(include_case_base="cbr" in explainer_ids)
-    instances = list(test.rows)[: args.max_instances]
-    log.info("benchmarking %d instances with %s", len(instances), explainer_ids)
-    results = _run_instances(instances, explainer_ids, ctx, args.workers)
-    records: list[MetricRecord] = []
-    expls: list[tuple[int, str, Explanation | None]] = []
-    for iid, per_instance in enumerate(results):
-        for eid, expl, elapsed in per_instance:
-            expls.append((iid, eid, expl))
-            if expl is None:
-                records.append(MetricRecord(iid, eid, False, elapsed))
-            else:
-                records.append(compute_metrics(expl, ctx, iid))
-    return records, ctx, data, expls
+    with _search_context(args, train, spec) as ctx:
+        explainer_ids = _parse_explainers(args.explainers)
+        ctx.warm(include_case_base="cbr" in explainer_ids)
+        instances = list(test.rows)[: args.max_instances]
+        log.info("benchmarking %d instances with %s", len(instances), explainer_ids)
+        results = _run_instances(instances, explainer_ids, ctx, args.workers)
+        records: list[MetricRecord] = []
+        expls: list[tuple[int, str, Explanation | None]] = []
+        for iid, per_instance in enumerate(results):
+            for eid, expl, elapsed in per_instance:
+                expls.append((iid, eid, expl))
+                if expl is None:
+                    records.append(MetricRecord(iid, eid, False, elapsed))
+                else:
+                    records.append(compute_metrics(expl, ctx, iid))
+    return records, ctx, expls
 
 
 def _cmd_benchmark(args) -> int:
     spec = _single_model_spec(args)
-    records, _, _, _ = _benchmark_records(args, spec)
+    records, _, _ = _benchmark_records(args, spec)
     out = _ensure_out(args)
     write_records_csv(records, out / "records.csv")
     write_timings_csv(records, out / "timings.csv")
@@ -462,14 +460,14 @@ def _cmd_robustness(args) -> int:
     specs = args.model
     if len(specs) != 2:
         raise _UsageError("robustness needs exactly two --model specs")
-    records, ctx, _, expls = _benchmark_records(args, specs[0])
-    other = _build_model(specs[1], ctx.stats, ctx.train, args.seed)
+    _, ctx, expls = _benchmark_records(args, specs[0])
     explainer_ids = _parse_explainers(args.explainers)
     fractions: dict[str, float | None] = {}
-    for eid in explainer_ids:
-        mine = [e for _, other_eid, e in expls if other_eid == eid and e is not None]
-        valid = [e for e in mine if e.valid]
-        fractions[eid] = cross_model_robustness(mine, other) if valid else None
+    with closing(_build_model(specs[1], ctx.stats, ctx.train)) as other:
+        for eid in explainer_ids:
+            mine = [e for _, other_eid, e in expls if other_eid == eid and e is not None]
+            valid = [e for e in mine if e.valid]
+            fractions[eid] = cross_model_robustness(mine, other) if valid else None
     payload = {
         "model": specs[0],
         "against": specs[1],

@@ -78,20 +78,32 @@ def heom_to_rows(
     if tuple(s.name for s in stats) != tuple(s.name for s in dataset.schema):
         raise DistanceError("statistics do not match the dataset schema")
     w = check_weights(stats, weights)
-    n = len(dataset)
-    total = np.zeros(n, dtype=np.float64)
+    return _weighted_scan(stats, [stat.range for stat in stats], x, dataset, w)
+
+
+def _weighted_scan(
+    stats: Sequence[FeatureStats],
+    scales: Sequence[float],
+    x: Instance,
+    dataset: Dataset,
+    weights: Sequence[float],
+) -> np.ndarray:
+    """Weighted L1 distances from ``x`` to every row, numeric terms divided by ``scales``.
+
+    Categorical features, and numerical ones whose scale is zero, use the 0/1
+    overlap. Terms are accumulated one feature at a time in schema order.
+    Arguments are not validated; callers pass checked weights.
+    """
+    total = np.zeros(len(dataset), dtype=np.float64)
     cols = dataset.columns()
-    for j, (stat, wj) in enumerate(zip(stats, w)):
+    for j, (stat, scale, wj) in enumerate(zip(stats, scales, weights)):
         if stat.kind is FeatureKind.CATEGORICAL:
             codes, mapping = cols[j]
-            code = mapping.get(x[j], -1)
-            term = (codes != code).astype(np.float64)
+            term = (codes != mapping.get(x[j], -1)).astype(np.float64)
+        elif scale == 0.0:
+            term = (cols[j] != float(x[j])).astype(np.float64)
         else:
-            col = cols[j]
-            if stat.range == 0.0:
-                term = (col != float(x[j])).astype(np.float64)
-            else:
-                term = np.abs(float(x[j]) - col) / stat.range
+            term = np.abs(float(x[j]) - cols[j]) / scale
         total += wj * term
     return total
 

@@ -23,9 +23,10 @@ y_hat = +1 when the source is predicted class 1, else -1:
 
 Three reference baselines are included: a nearest opposite-predicted
 training row without any correctness filter and with per-std numeric
-scaling (wit), a greedy mean/mode replacement search (sedc), and a
-case-based explainer reusing pairs of training rows that differ in at most
-two features (cbr).
+scaling (wit); sedc, which is the same greedy search with the sparsity
+reward run toward the training mean/mode instance instead of a training
+row, and so has no flip guarantee; and a case-based explainer reusing
+pairs of training rows that differ in at most two features (cbr).
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .distance import check_weights, heom_feature, heom_to_rows, nearest_unlike_neighbor
+from .distance import (
+    _weighted_scan,
+    check_weights,
+    heom_feature,
+    heom_to_rows,
+    nearest_unlike_neighbor,
+)
 from .errors import ConfigError, NoUnlikeNeighborError
 from .model import ClassifierHandle
 from .plausibility import PlausibilityScorer
@@ -251,106 +258,115 @@ def reward(
     return _reward_core(kind, ctx, y_hat, p_prev, p_cand, j, prev[j], cand[j], ae_prev, ae_cand)
 
 
-def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanation:
-    """Hybrid search from ``x0`` toward its nearest unlike neighbor.
-
-    With kind none the anchor is returned as-is. Otherwise each iteration
-    builds one candidate per still-uncopied anchor feature, scores them in a
-    single batch, keeps the reward argmax (ties to the smallest feature
-    index), and stops as soon as the predicted class flips. Termination is
-    guaranteed because the last remaining candidate is the anchor itself.
-    """
-    t0 = time.perf_counter()
-    if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
-        raise ConfigError("plausibility search requires a scorer on the context")
-    c0 = ctx.model.predict(x0)
-    y_hat = 1 if c0 == 1 else -1
-    preds = ctx.train_predictions()
-    nn_index = nearest_unlike_neighbor(ctx.stats, x0, ctx.train, preds, c0, ctx.weights)
-    x_nn = ctx.train.rows[nn_index]
-    explainer_id = f"nice-{kind.value}"
-
-    if kind is RewardKind.NONE:
-        counterfactual = x_nn
-        trace: tuple[TraceStep, ...] = ()
-        valid = True
-    else:
-        current = list(x0)
-        p_prev = ctx.model.score(x0)
-        ae_prev = ctx.scorer(x0) if kind is RewardKind.PLAUSIBILITY else None
-        steps: list[TraceStep] = []
-        valid = False
-        while True:
-            remaining = [j for j in range(len(current)) if current[j] != x_nn[j]]
-            if not remaining:
-                break
-            candidates = []
-            for j in remaining:
-                hybrid = list(current)
-                hybrid[j] = x_nn[j]
-                candidates.append(tuple(hybrid))
-            p_cands = ctx.model.score_batch(candidates)
-            if kind is RewardKind.PLAUSIBILITY:
-                ae_cands = [ctx.scorer(c) for c in candidates]
-            else:
-                ae_cands = [None] * len(candidates)
-            best = 0
-            best_reward = None
-            for i, j in enumerate(remaining):
-                r = _reward_core(
-                    kind, ctx, y_hat, p_prev, float(p_cands[i]), j,
-                    current[j], x_nn[j], ae_prev, ae_cands[i],
-                )
-                if best_reward is None or r > best_reward:
-                    best, best_reward = i, r
-            chosen_j = remaining[best]
-            p_prev = float(p_cands[best])
-            ae_prev = ae_cands[best]
-            current[chosen_j] = x_nn[chosen_j]
-            steps.append(TraceStep(chosen_j, best_reward, _signed(p_prev)))
-            if _predicted(p_prev) != c0:
-                valid = True
-                break
-        counterfactual = tuple(current)
-        trace = tuple(steps)
-
-    changed = frozenset(j for j in range(len(x0)) if counterfactual[j] != x0[j])
+def _explanation(
+    explainer_id: str,
+    x0: Instance,
+    counterfactual: Instance,
+    valid: bool,
+    t0: float,
+    trace: tuple[TraceStep, ...] = (),
+    anchor: Instance | None = None,
+    anchor_index: int | None = None,
+) -> Explanation:
+    """Build an explanation, deriving the changed features and the time since ``t0``."""
     return Explanation(
         explainer_id=explainer_id,
         source=tuple(x0),
         counterfactual=counterfactual,
         valid=valid,
-        changed_features=changed,
+        changed_features=frozenset(
+            j for j in range(len(x0)) if counterfactual[j] != x0[j]
+        ),
         trace=trace,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        anchor=x_nn,
-        anchor_index=nn_index,
+        anchor=anchor,
+        anchor_index=anchor_index,
+    )
+
+
+def _greedy_toward(
+    x0: Instance,
+    p0: float,
+    target: Instance,
+    kind: RewardKind,
+    ctx: SearchContext,
+    max_iters: int | None = None,
+) -> tuple[Instance, tuple[TraceStep, ...], bool]:
+    """Copy ``target`` values into ``x0`` one feature per iteration until the class flips.
+
+    ``p0`` is the model's score of ``x0``. Each iteration builds one
+    candidate per feature still differing from the target, scores them in a
+    single batch, and keeps the reward argmax (ties to the smallest feature
+    index). The search stops at the first flip, when nothing is left to copy,
+    or after ``max_iters`` iterations. Returns (counterfactual, trace, valid),
+    where valid means the class flipped.
+    """
+    c0 = _predicted(p0)
+    y_hat = 1 if c0 == 1 else -1
+    current = list(x0)
+    p_prev = p0
+    ae_prev = ctx.scorer(x0) if kind is RewardKind.PLAUSIBILITY else None
+    steps: list[TraceStep] = []
+    while max_iters is None or len(steps) < max_iters:
+        remaining = [j for j in range(len(current)) if current[j] != target[j]]
+        if not remaining:
+            break
+        candidates = []
+        for j in remaining:
+            hybrid = list(current)
+            hybrid[j] = target[j]
+            candidates.append(tuple(hybrid))
+        p_cands = ctx.model.score_batch(candidates)
+        if kind is RewardKind.PLAUSIBILITY:
+            ae_cands = [ctx.scorer(c) for c in candidates]
+        else:
+            ae_cands = [None] * len(candidates)
+        best = 0
+        best_reward = None
+        for i, j in enumerate(remaining):
+            r = _reward_core(
+                kind, ctx, y_hat, p_prev, float(p_cands[i]), j,
+                current[j], target[j], ae_prev, ae_cands[i],
+            )
+            if best_reward is None or r > best_reward:
+                best, best_reward = i, r
+        chosen_j = remaining[best]
+        p_prev = float(p_cands[best])
+        ae_prev = ae_cands[best]
+        current[chosen_j] = target[chosen_j]
+        steps.append(TraceStep(chosen_j, best_reward, _signed(p_prev)))
+        if _predicted(p_prev) != c0:
+            return tuple(current), tuple(steps), True
+    return tuple(current), tuple(steps), False
+
+
+def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanation:
+    """Hybrid search from ``x0`` toward its nearest unlike neighbor.
+
+    With kind none the anchor is returned as-is; otherwise the greedy search
+    copies anchor values with the given reward. Termination with a flip is
+    guaranteed because the last remaining candidate is the anchor itself.
+    """
+    t0 = time.perf_counter()
+    if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
+        raise ConfigError("plausibility search requires a scorer on the context")
+    p0 = ctx.model.score(x0)
+    c0 = _predicted(p0)
+    preds = ctx.train_predictions()
+    nn_index = nearest_unlike_neighbor(ctx.stats, x0, ctx.train, preds, c0, ctx.weights)
+    x_nn = ctx.train.rows[nn_index]
+    if kind is RewardKind.NONE:
+        counterfactual, trace, valid = x_nn, (), True
+    else:
+        counterfactual, trace, valid = _greedy_toward(x0, p0, x_nn, kind, ctx)
+    return _explanation(
+        f"nice-{kind.value}", x0, counterfactual, valid, t0, trace, x_nn, nn_index
     )
 
 
 def _wit_distances(ctx: SearchContext, x0: Instance) -> np.ndarray:
-    """Distances used by the nearest-neighbor baseline: per-std numeric scaling.
-
-    Categorical features use the 0/1 overlap; numeric differences are divided
-    by the training standard deviation (zero std degenerates to overlap).
-    Accumulated feature by feature like the main metric, times the same
-    per-feature weights.
-    """
-    cols = ctx.train.columns()
-    total = np.zeros(len(ctx.train), dtype=np.float64)
-    for j, (stat, w) in enumerate(zip(ctx.stats, ctx.weights)):
-        if stat.kind is FeatureKind.CATEGORICAL:
-            codes, mapping = cols[j]
-            code = mapping.get(x0[j], -1)
-            term = (codes != code).astype(np.float64)
-        else:
-            col = cols[j]
-            if stat.std == 0.0:
-                term = (col != float(x0[j])).astype(np.float64)
-            else:
-                term = np.abs(float(x0[j]) - col) / stat.std
-        total += w * term
-    return total
+    """Distances used by the nearest-neighbor baseline: HEOM with per-std numeric scaling."""
+    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], x0, ctx.train, ctx.weights)
 
 
 def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
@@ -368,26 +384,15 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     d = np.where(eligible, _wit_distances(ctx, x0), np.inf)
     index = int(np.argmin(d))
     counterfactual = ctx.train.rows[index]
-    changed = frozenset(j for j in range(len(x0)) if counterfactual[j] != x0[j])
-    return Explanation(
-        explainer_id="wit",
-        source=tuple(x0),
-        counterfactual=counterfactual,
-        valid=True,
-        changed_features=changed,
-        trace=(),
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        anchor=counterfactual,
-        anchor_index=index,
-    )
+    return _explanation("wit", x0, counterfactual, True, t0, (), counterfactual, index)
 
 
 def explain_sedc(
     x0: Instance, ctx: SearchContext, max_iters: int | None = None
 ) -> Explanation:
-    """Greedy search replacing features with their training mean or mode.
+    """Greedy sparsity-reward search toward the training mean/mode instance.
 
-    Same loop as the sparsity-reward hybrid search, but values are copied
+    The same search as the sparsity-reward hybrid, but values are copied
     from the all-mean/mode instance instead of a training row, so there is
     no flip guarantee: when every feature has been replaced (or ``max_iters``
     is exhausted) without a class change, the result has ``valid=False``.
@@ -398,50 +403,11 @@ def explain_sedc(
     t0 = time.perf_counter()
     if max_iters is not None and max_iters < 1:
         raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    c0 = ctx.model.predict(x0)
-    y_hat = 1 if c0 == 1 else -1
-    replacement = ctx.mean_mode_instance()
-    current = list(x0)
-    p_prev = ctx.model.score(x0)
-    steps: list[TraceStep] = []
-    valid = False
-    while max_iters is None or len(steps) < max_iters:
-        remaining = [j for j in range(len(current)) if current[j] != replacement[j]]
-        if not remaining:
-            break
-        candidates = []
-        for j in remaining:
-            hybrid = list(current)
-            hybrid[j] = replacement[j]
-            candidates.append(tuple(hybrid))
-        p_cands = ctx.model.score_batch(candidates)
-        best = 0
-        best_reward = None
-        for i, j in enumerate(remaining):
-            r = _reward_core(
-                RewardKind.SPARSITY, ctx, y_hat, p_prev, float(p_cands[i]), j,
-                current[j], replacement[j], None, None,
-            )
-            if best_reward is None or r > best_reward:
-                best, best_reward = i, r
-        chosen_j = remaining[best]
-        p_prev = float(p_cands[best])
-        current[chosen_j] = replacement[chosen_j]
-        steps.append(TraceStep(chosen_j, best_reward, _signed(p_prev)))
-        if _predicted(p_prev) != c0:
-            valid = True
-            break
-    counterfactual = tuple(current)
-    changed = frozenset(j for j in range(len(x0)) if counterfactual[j] != x0[j])
-    return Explanation(
-        explainer_id="sedc",
-        source=tuple(x0),
-        counterfactual=counterfactual,
-        valid=valid,
-        changed_features=changed,
-        trace=tuple(steps),
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    p0 = ctx.model.score(x0)
+    counterfactual, trace, valid = _greedy_toward(
+        x0, p0, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx, max_iters
     )
+    return _explanation("sedc", x0, counterfactual, valid, t0, trace)
 
 
 def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
@@ -457,15 +423,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     c0 = ctx.model.predict(x0)
     base = ctx.case_base()
     if not base:
-        return Explanation(
-            explainer_id="cbr",
-            source=tuple(x0),
-            counterfactual=tuple(x0),
-            valid=False,
-            changed_features=frozenset(),
-            trace=(),
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        )
+        return _explanation("cbr", x0, tuple(x0), False, t0)
     preds = ctx.train_predictions()
     d = heom_to_rows(ctx.stats, x0, ctx.train, ctx.weights)
     best_pair = None
@@ -482,16 +440,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
         result[j] = other_row[j]
     counterfactual = tuple(result)
     valid = ctx.model.predict(counterfactual) != c0
-    changed = frozenset(j for j in range(len(x0)) if counterfactual[j] != x0[j])
-    return Explanation(
-        explainer_id="cbr",
-        source=tuple(x0),
-        counterfactual=counterfactual,
-        valid=valid,
-        changed_features=changed,
-        trace=(),
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return _explanation("cbr", x0, counterfactual, valid, t0)
 
 
 def explanation_to_dict(

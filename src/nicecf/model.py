@@ -51,6 +51,9 @@ class ClassifierHandle:
     def predict_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         return (self.score_batch(xs) >= 0.5).astype(np.int64)
 
+    def close(self) -> None:
+        """Release whatever the handle holds open; built-in models hold nothing."""
+
 
 class LogisticHandle(ClassifierHandle):
     """Logistic regression over the numeric encoding."""
@@ -82,14 +85,11 @@ def train_logistic(
     train: Dataset,
     epochs: int = 500,
     step: float = 0.5,
-    seed: int = 0,
 ) -> LogisticHandle:
     """Full-batch gradient descent on the mean log-loss.
 
-    Weights start at zero, so the fit is deterministic; ``seed`` is accepted
-    for interface symmetry with the other trainers but has no effect.
+    Weights start at zero, so the fit is deterministic.
     """
-    del seed
     if train.labels is None:
         raise TrainError("training dataset has no labels")
     if len(train) == 0:
@@ -221,11 +221,21 @@ class SubprocessTransport:
             return _parse_scores(line, expected, f"worker '{self.command}'")
 
     def close(self) -> None:
+        """Close the worker's input and reap it; kill it if it has not exited in 5 s."""
         with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.stdin.close()
-                self._proc.wait(timeout=5)
-            self._proc = None
+            proc, self._proc = self._proc, None
+            if proc is None:
+                return
+            try:
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the worker exited with input still buffered
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class HttpTransport:

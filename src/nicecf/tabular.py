@@ -266,6 +266,8 @@ def fit_stats(train: Dataset) -> list[FeatureStats]:
         if spec.kind is FeatureKind.NUMERICAL:
             arr = np.asarray(values, dtype=np.float64)
             lo, hi = float(arr.min()), float(arr.max())
+            # Rounding can put the mean of near-equal values just outside
+            # [lo, hi] and give a constant column a tiny nonzero std.
             stats.append(
                 FeatureStats(
                     name=spec.name,
@@ -273,8 +275,8 @@ def fit_stats(train: Dataset) -> list[FeatureStats]:
                     min=lo,
                     max=hi,
                     range=hi - lo,
-                    mean=float(arr.mean()),
-                    std=float(arr.std()),
+                    mean=min(max(float(arr.mean()), lo), hi),
+                    std=float(arr.std()) if hi > lo else 0.0,
                 )
             )
         else:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nicecf
+import nicecf.cli
 from nicecf.cli import run_command
 from nicecf.plausibility import ae_scorer, load_ae
 from nicecf.synthetic import make_dataset, save_dataset
@@ -290,6 +291,65 @@ class TestRobustness:
         doc = json.loads((tmp_path / "robustness.json").read_text())
         # same model on both sides: every valid counterfactual flips it
         assert doc["robustness"]["nice-none"] == 1.0
+
+
+# Worker scoring a row by its first two (numeric) features.
+SCORING_WORKER = r"""
+import json, math, sys
+for line in sys.stdin:
+    rows = json.loads(line)["instances"]
+    print(json.dumps({"scores": [1 / (1 + math.exp(4 - r[0] - r[1])) for r in rows]}), flush=True)
+"""
+DEAD_WORKER = "import sys; sys.exit(1)"
+
+
+def proc_spec(body):
+    return f"proc:{sys.executable} -u -c '{body}'"
+
+
+class TestExternalModelClosed:
+    """Every ``proc:`` worker a command starts has exited and been reaped when it returns."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        build = nicecf.cli.external_model
+        started = []
+
+        def recording(spec, *args, **kwargs):
+            handle = build(spec, *args, **kwargs)
+            transport = handle.transport
+            ensure = transport._ensure
+
+            def recording_ensure():
+                proc = ensure()
+                if proc not in started:
+                    started.append(proc)
+                return proc
+
+            transport._ensure = recording_ensure
+            return handle
+
+        monkeypatch.setattr(nicecf.cli, "external_model", recording)
+        return started
+
+    @pytest.mark.parametrize("argv, code", [
+        (["explain", "--model", proc_spec(SCORING_WORKER), "--index", "0"], 0),
+        (["explain", "--model", proc_spec(DEAD_WORKER), "--index", "0"], 2),
+        (["benchmark", "--model", proc_spec(SCORING_WORKER),
+          "--explainers", "nice-spars,sedc", "--max-instances", "3"], 0),
+        (["robustness", "--model", proc_spec(SCORING_WORKER),
+          "--model", proc_spec(SCORING_WORKER), "--explainers", "nice-none",
+          "--max-instances", "3"], 0),
+    ], ids=["explain", "explain-dead-worker", "benchmark", "robustness"])
+    def test_workers_exited(self, data_files, tmp_path, workers, argv, code, capsys):
+        command, *rest = argv
+        if command == "benchmark":
+            rest += ["--out", str(tmp_path)]
+        assert run_command([command, *common(data_files), *rest]) == code
+        expected = 2 if command == "robustness" else 1
+        assert len(workers) == expected
+        # returncode is set only once the process has been waited for
+        assert [w.returncode is not None for w in workers] == [True] * expected
 
 
 def _declared_script(name):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicecf.distance import (
     heom,
@@ -10,6 +12,7 @@ from nicecf.distance import (
 )
 from nicecf.errors import DistanceError, NoUnlikeNeighborError
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, FeatureStats, fit_stats
+from strategies import mixed_tables
 
 
 def num_stat(lo, hi, name="x"):
@@ -76,6 +79,17 @@ class TestHeomToRows:
         vector = heom_to_rows(stats, x, mixed_dataset, weights)
         for i, row in enumerate(mixed_dataset.rows):
             assert vector[i] == heom(stats, x, row, weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_scalar_on_random_schemas(self, data):
+        table, x = data.draw(mixed_tables())
+        stats = fit_stats(table)
+        n = len(stats)
+        weights = data.draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        vector = heom_to_rows(stats, x, table, weights)
+        for i, row in enumerate(table.rows):
+            assert float(vector[i]).hex() == heom(stats, x, row, weights).hex()
 
     def test_unknown_category_is_distance_one(self, tiny_dataset, tiny_stats):
         d = heom_to_rows(tiny_stats, (10.0, "unseen"), tiny_dataset)

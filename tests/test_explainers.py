@@ -2,7 +2,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
+import nicecf.explainers
 from nicecf.distance import heom
 from nicecf.errors import ConfigError, NoUnlikeNeighborError
 from nicecf.explainers import (
@@ -16,9 +18,10 @@ from nicecf.explainers import (
     explanation_to_dict,
     reward,
 )
-from nicecf.model import train_logistic
+from nicecf.model import ClassifierHandle, train_logistic
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
+from strategies import mixed_tables
 
 OPTIMIZED = (RewardKind.SPARSITY, RewardKind.PROXIMITY, RewardKind.PLAUSIBILITY)
 
@@ -236,6 +239,111 @@ class TestNiceGeneral:
             for x0 in mixed_dataset.rows[:10]:
                 expl = explain_nice(x0, RewardKind.PLAUSIBILITY, ctx)
                 assert expl.valid
+
+
+class CountingModel(ClassifierHandle):
+    """Wraps a model and counts the scored rows equal to ``watched``."""
+
+    def __init__(self, inner, watched):
+        self.inner = inner
+        self.watched = tuple(watched)
+        self.count = 0
+
+    def score_batch(self, xs):
+        self.count += sum(1 for x in xs if tuple(x) == self.watched)
+        return self.inner.score_batch(xs)
+
+
+@pytest.mark.parametrize("explain", [
+    lambda x0, ctx: explain_nice(x0, RewardKind.SPARSITY, ctx),
+    lambda x0, ctx: explain_nice(x0, RewardKind.PROXIMITY, ctx),
+    lambda x0, ctx: explain_nice(x0, RewardKind.PLAUSIBILITY, ctx),
+    explain_sedc,
+], ids=["nice-spars", "nice-prox", "nice-plaus", "sedc"])
+def test_source_scored_once(scripted_model_cls, explain):
+    x0 = ("a", "a", "a")
+    train = Dataset(cat_schema(3), [("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b")],
+                    labels=[0, 0, 0])
+    model = CountingModel(scripted_model_cls({x0: 0.9}, default=0.2), x0)
+    ctx = SearchContext(train, fit_stats(train), model, scorer=lambda x: 1.0)
+    ctx.warm()
+    expl = explain(x0, ctx)
+    assert expl.valid
+    assert model.count == 1
+
+
+def value_hash(x, salt=b""):
+    """A number in [0, 1) that depends only on the row's values as ``==`` sees them.
+
+    Adding 0.0 maps -0.0 to 0.0: the search compares values with ``==``, so
+    a score must not tell the two apart.
+    """
+    values = tuple(v if isinstance(v, str) else v + 0.0 for v in x)
+    return zlib.crc32(salt + repr(values).encode()) / 2**32
+
+
+class HashModel(ClassifierHandle):
+    """Deterministic but otherwise arbitrary scores."""
+
+    def score_batch(self, xs):
+        return np.array([value_hash(x) for x in xs])
+
+
+def hash_scorer(x):
+    return value_hash(x, b"ae")
+
+
+def hash_context(table):
+    """A context over ``table`` labelled by the hash model, so every row is correctly predicted."""
+    model = HashModel()
+    labelled = Dataset(table.schema, table.rows, labels=model.predict_batch(table.rows).tolist())
+    return SearchContext(labelled, fit_stats(labelled), model, scorer=hash_scorer)
+
+
+class TestRandomSchemas:
+    """Invariants of the shared search and scan on random mixed schemas."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_tables(min_rows=3))
+    def test_nice_valid_and_hybrid(self, table_and_x):
+        table, x0 = table_and_x
+        ctx = hash_context(table)
+        c0 = ctx.model.predict(x0)
+        assume(any(int(p) != c0 for p in ctx.train_predictions()))
+        for kind in RewardKind:
+            expl = explain_nice(x0, kind, ctx)
+            assert expl.valid
+            assert ctx.model.predict(expl.counterfactual) != c0
+            for j in expl.changed_features:
+                assert expl.counterfactual[j] == expl.anchor[j]
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_tables())
+    def test_sedc_copies_mean_mode(self, table_and_x):
+        table, x0 = table_and_x
+        ctx = hash_context(table)
+        expl = explain_sedc(x0, ctx)
+        mean_mode = ctx.mean_mode_instance()
+        for j in expl.changed_features:
+            assert expl.counterfactual[j] == mean_mode[j]
+        assert len(expl.trace) == len(expl.changed_features)
+        assert expl.valid == (ctx.model.predict(expl.counterfactual) != ctx.model.predict(x0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_tables())
+    def test_wit_distances_match_scalar_per_std(self, table_and_x):
+        table, x0 = table_and_x
+        ctx = hash_context(table)
+        vector = nicecf.explainers._wit_distances(ctx, x0)
+        for i, row in enumerate(table.rows):
+            total = 0.0
+            for stat, w, a, b in zip(ctx.stats, ctx.weights, x0, row):
+                if stat.kind is FeatureKind.CATEGORICAL or stat.std == 0.0:
+                    term = 0.0 if a == b else 1.0
+                else:
+                    term = abs(float(a) - float(b)) / stat.std
+                total += w * term
+            assert float(vector[i]).hex() == total.hex()
 
 
 class TestNiceProperties:

@@ -1,6 +1,7 @@
 """External model adapters: subprocess and HTTP transports, spec parsing."""
 
 import json
+import signal
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -95,6 +96,19 @@ for line in sys.stdin:
                 handle.score((1.0,))
         finally:
             handle.close()
+
+    def test_close_kills_worker_that_ignores_end_of_input(self):
+        stubborn = r"""
+import json, sys, time
+sys.stdin.readline()
+print(json.dumps({"scores": [0.5]}), flush=True)
+time.sleep(60)
+"""
+        handle = external_model(worker_spec(stubborn))
+        assert handle.score((1.0,)) == 0.5
+        proc = handle.transport._proc
+        handle.close()  # waits 5 s for the worker, then kills it
+        assert proc.returncode == -signal.SIGKILL
 
     def test_missing_command(self):
         with pytest.raises(ConfigError):

@@ -128,6 +128,14 @@ class TestFitStats:
         # population std of [10, 20, 30, 40]
         assert amount.std == pytest.approx(math.sqrt(125.0))
 
+    @pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 6), (3.3, 7)])
+    def test_constant_column(self, value, n):
+        # The float mean of [0.1] * 3 rounds above 0.1, and the raw std of
+        # each of these columns is about 1e-16, not 0.
+        ds = Dataset([FeatureSpec("x", FeatureKind.NUMERICAL)], [(value,)] * n)
+        s = fit_stats(ds)[0]
+        assert (s.min, s.max, s.range, s.mean, s.std) == (value, value, 0.0, value, 0.0)
+
     def test_categories_sorted_and_mode(self, tiny_dataset):
         stats = fit_stats(tiny_dataset)
         color = stats[1]
