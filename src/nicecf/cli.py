@@ -1,10 +1,10 @@
 """Command-line entry point for training, explaining, and benchmarking.
 
-Subcommands: ``describe`` (dataset statistics), ``train`` / ``train-ae``
-(persist a built-in model / autoencoder as JSON), ``explain`` (one instance
-or a capped batch, JSON output), ``benchmark`` (split, train, run a set of
-explainers, emit the report files), ``robustness`` (fraction of
-counterfactuals that survive a second model).
+Subcommands: ``describe`` (dataset statistics), ``train-ae`` (persist the
+plausibility autoencoder as JSON), ``explain`` (one instance or a capped
+batch, JSON output), ``benchmark`` (split, train, run a set of explainers,
+emit the report files), ``robustness`` (fraction of counterfactuals that
+survive a second model).
 
 Exit codes: 0 success, 1 usage or input error, 2 runtime failure. The
 ``NICE_LOG`` environment variable sets the logging level. All randomness
@@ -54,7 +54,6 @@ from .tabular import (
     fit_stats,
     load_dataset,
     split,
-    stats_to_dicts,
 )
 
 log = logging.getLogger(__name__)
@@ -103,11 +102,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--schema", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_describe)
-
-    p = sub.add_parser("train", help="fit a built-in model and persist it")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-ae", help="fit the plausibility autoencoder and persist it")
     common(p, model=False)
@@ -321,30 +315,6 @@ def _cmd_describe(args) -> int:
         else:
             detail = f"{len(s.categories)} categories, mode='{s.mode}'"
         print(f"{s.name.ljust(name_width)}  {s.kind.value:<11}  {detail}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    data = _load(args)
-    if data.labels is None:
-        raise ConfigError("training requires a labeled dataset")
-    stats = fit_stats(data)
-    spec = _single_model_spec(args)
-    if not spec.startswith("builtin:"):
-        raise ConfigError("train persists built-in models only (builtin:...)")
-    model = _build_model(spec, stats, data)
-    out = _ensure_out(args)
-    doc: dict = {"model": spec, "seed": args.seed, "stats": stats_to_dicts(stats)}
-    if spec == "builtin:logistic":
-        doc["coef"] = model.coef.tolist()
-        doc["intercept"] = model.intercept
-    else:
-        doc["k"] = model.k
-        doc["rows"] = [list(r) for r in data.rows]
-        doc["labels"] = list(data.labels)
-    path = out / "model.json"
-    path.write_text(json.dumps(doc))
-    print(f"wrote {path}")
     return 0
 
 

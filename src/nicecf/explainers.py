@@ -125,7 +125,7 @@ class SearchContext:
         self._lock = threading.Lock()
         self._train_predictions: np.ndarray | None = None
         self._mean_mode: Instance | None = None
-        self._case_base: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
+        self._case_base: np.ndarray | None = None
 
     def train_predictions(self) -> np.ndarray:
         """Model predictions for every training row, cached after first use."""
@@ -144,13 +144,14 @@ class SearchContext:
                 )
             return self._mean_mode
 
-    def case_base(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    def case_base(self) -> np.ndarray:
         """Pairs of training rows predicted as different classes differing in <= 2 features.
 
-        Each entry is (low_row_index, high_row_index, differing feature
-        indices), sorted by row-index pair. Building the base compares the
-        two predicted-class groups feature by feature, so cost is one
-        |group0| x |group1| matrix per feature.
+        An integer array of shape (pairs, 2) whose column c holds the row
+        index of the member predicted as class c. Rows are ordered by the
+        pair's lower row index, then its higher one. Building the base
+        compares the two predicted-class groups feature by feature, so cost
+        is one |group0| x |group1| matrix per feature.
         """
         preds = self.train_predictions()
         with self._lock:
@@ -168,30 +169,17 @@ class SearchContext:
 
 def _build_case_base(
     train: Dataset, stats: Sequence[FeatureStats], preds: np.ndarray
-) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+) -> np.ndarray:
     idx0 = np.flatnonzero(preds == 0)
     idx1 = np.flatnonzero(preds == 1)
-    if len(idx0) == 0 or len(idx1) == 0:
-        return ()
     counts = np.zeros((len(idx0), len(idx1)), dtype=np.int16)
     cols = train.columns()
     for j, stat in enumerate(stats):
-        if stat.kind is FeatureKind.CATEGORICAL:
-            codes, _ = cols[j]
-            a, b = codes[idx0], codes[idx1]
-        else:
-            col = cols[j]
-            a, b = col[idx0], col[idx1]
-        counts += a[:, None] != b[None, :]
-    pairs = []
-    for i, j in np.argwhere((counts >= 1) & (counts <= 2)):
-        a, b = int(idx0[i]), int(idx1[j])
-        lo, hi = (a, b) if a < b else (b, a)
-        row_lo, row_hi = train.rows[lo], train.rows[hi]
-        diffs = tuple(f for f in range(train.n_features) if row_lo[f] != row_hi[f])
-        pairs.append((lo, hi, diffs))
-    pairs.sort(key=lambda p: (p[0], p[1]))
-    return tuple(pairs)
+        col = cols[j][0] if stat.kind is FeatureKind.CATEGORICAL else cols[j]
+        counts += col[idx0][:, None] != col[idx1][None, :]
+    i0, i1 = np.nonzero((counts >= 1) & (counts <= 2))
+    base = np.column_stack((idx0[i0], idx1[i1]))
+    return base[np.lexsort((base.max(axis=1), base.min(axis=1)))]
 
 
 def _signed(p: float) -> float:
@@ -416,29 +404,21 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     Among all training pairs predicted as different classes and differing in
     at most two features, pick the one whose member sharing the source's
     predicted class is nearest to the source, then copy the pair's differing
-    values from the opposite member into the source. An empty case base, or
-    a copy that fails to flip the class, yields ``valid=False``.
+    values from the opposite member into the source. Distance ties go to the
+    first pair in case-base order. An empty case base, or a copy that fails
+    to flip the class, yields ``valid=False``.
     """
     t0 = time.perf_counter()
     c0 = ctx.model.predict(x0)
     base = ctx.case_base()
-    if not base:
+    if len(base) == 0:
         return _explanation("cbr", x0, tuple(x0), False, t0)
-    preds = ctx.train_predictions()
     d = heom_to_rows(ctx.stats, x0, ctx.train, ctx.weights)
-    best_pair = None
-    best_d = None
-    for lo, hi, diffs in base:
-        same = lo if int(preds[lo]) == c0 else hi
-        if best_d is None or d[same] < best_d:
-            best_pair, best_d = (lo, hi, diffs), float(d[same])
-    lo, hi, diffs = best_pair
-    other = hi if int(preds[lo]) == c0 else lo
-    other_row = ctx.train.rows[other]
-    result = list(x0)
-    for j in diffs:
-        result[j] = other_row[j]
-    counterfactual = tuple(result)
+    pair = base[int(np.argmin(d[base[:, c0]]))]
+    same_row, other_row = ctx.train.rows[pair[c0]], ctx.train.rows[pair[1 - c0]]
+    counterfactual = tuple(
+        o if s != o else v for v, s, o in zip(x0, same_row, other_row)
+    )
     valid = ctx.model.predict(counterfactual) != c0
     return _explanation("cbr", x0, counterfactual, valid, t0)
 

@@ -160,7 +160,8 @@ def train_knn_classifier(
 
 
 def _json_safe(x: Instance) -> list:
-    return [v if isinstance(v, str) else float(v) for v in x]
+    # Adding 0.0 sends -0.0 as 0.0: the search and HEOM treat the two as one value.
+    return [v if isinstance(v, str) else float(v) + 0.0 for v in x]
 
 
 def _parse_scores(text: str, expected: int, origin: str) -> np.ndarray:
@@ -194,7 +195,9 @@ class SubprocessTransport:
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self._release()
+        if self._proc is None:
             try:
                 self._proc = subprocess.Popen(
                     shlex.split(self.command),
@@ -220,22 +223,25 @@ class SubprocessTransport:
                 raise ModelIOError(f"worker '{self.command}' closed its output")
             return _parse_scores(line, expected, f"worker '{self.command}'")
 
-    def close(self) -> None:
+    def _release(self) -> None:
         """Close the worker's input and reap it; kill it if it has not exited in 5 s."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the worker exited with input still buffered
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+    def close(self) -> None:
         with self._lock:
-            proc, self._proc = self._proc, None
-            if proc is None:
-                return
-            try:
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass  # the worker exited with input still buffered
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
+            self._release()
 
 
 class HttpTransport:

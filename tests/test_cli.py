@@ -29,7 +29,7 @@ def data_files(tmp_path_factory):
 def unlabeled_files(tmp_path_factory, data_files):
     schema_path, csv_path = data_files
     root = tmp_path_factory.mktemp("cli-unlabeled")
-    doc = json.loads(open(schema_path).read())
+    doc = json.loads(Path(schema_path).read_text())
     doc["label"] = None
     (root / "schema.json").write_text(json.dumps(doc))
     with open(csv_path) as fh:
@@ -87,40 +87,13 @@ class TestParsing:
 
 
 class TestTrain:
-    def test_logistic_artifact(self, data_files, tmp_path, capsys):
+    def test_train_subcommand_removed(self, data_files, tmp_path, capsys):
         code = run_command(
             ["train", *common(data_files), "--model", "builtin:logistic",
              "--out", str(tmp_path)]
         )
-        assert code == 0
-        doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["model"] == "builtin:logistic"
-        assert len(doc["coef"]) > 0
-        assert isinstance(doc["intercept"], float)
-        assert doc["stats"][0]["name"] == "num0"
-
-    def test_knn_artifact(self, data_files, tmp_path):
-        code = run_command(
-            ["train", *common(data_files), "--model", "builtin:knn:3",
-             "--out", str(tmp_path)]
-        )
-        assert code == 0
-        doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["k"] == 3
-        assert len(doc["rows"]) == 80
-
-    def test_rejects_external_spec(self, data_files, tmp_path, capsys):
-        code = run_command(
-            ["train", *common(data_files), "--model", "proc:cat", "--out", str(tmp_path)]
-        )
         assert code == 1
-
-    def test_requires_labels(self, unlabeled_files, tmp_path):
-        code = run_command(
-            ["train", *common(unlabeled_files), "--model", "builtin:logistic",
-             "--out", str(tmp_path)]
-        )
-        assert code == 1
+        assert not (tmp_path / "model.json").exists()
 
     def test_train_ae_artifact(self, data_files, tmp_path):
         code = run_command(["train-ae", *common(data_files), "--out", str(tmp_path)])

@@ -481,7 +481,7 @@ class TestCbr:
         stats = fit_stats(data)
         model = train_logistic(stats, data)
         ctx = SearchContext(data, stats, model)
-        assert ctx.case_base() == ()
+        assert len(ctx.case_base()) == 0
         expl = explain_cbr(data.rows[0], ctx)
         assert not expl.valid
         assert expl.counterfactual == data.rows[0]
@@ -493,7 +493,7 @@ class TestCbr:
         stats = fit_stats(train)
         model = scripted_model_cls({a: 0.9, b: 0.2})
         ctx = SearchContext(train, stats, model)
-        assert ctx.case_base() == ((0, 1, (0,)),)
+        assert ctx.case_base().tolist() == [[1, 0]]
         expl = explain_cbr(a, ctx)
         assert expl.valid
         assert expl.counterfactual == b
@@ -528,6 +528,52 @@ class TestCbr:
         # nearest predicted-0 member is b itself (distance 0) in pair (a, b)
         assert expl.counterfactual == a
         assert expl.valid
+
+    def test_distance_tie_goes_to_first_pair(self, scripted_model_cls):
+        rows = [("a", "p"), ("b", "p"), ("a", "q"), ("a", "r")]
+        train = Dataset(cat_schema(2), rows, labels=[0, 1, 0, 1])
+        x0 = ("c", "z")
+        model = scripted_model_cls({rows[0]: 0.1, rows[1]: 0.9, rows[2]: 0.2, rows[3]: 0.8,
+                                    x0: 0.3, ("b", "z"): 0.7, ("c", "r"): 0.6})
+        ctx = SearchContext(train, fit_stats(train), model)
+        # pairs (0, 1), (0, 3), (1, 2), (2, 3); x0 is at distance 2 from rows 0 and 2
+        assert ctx.case_base().tolist() == [[0, 1], [0, 3], [2, 1], [2, 3]]
+        expl = explain_cbr(x0, ctx)
+        assert expl.counterfactual == ("b", "z")
+        assert expl.valid
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_tables())
+    def test_matches_brute_force_reference(self, table_and_x):
+        table, x0 = table_and_x
+        ctx = hash_context(table)
+        rows, preds = table.rows, ctx.train_predictions()
+        pairs = [
+            (lo, hi)
+            for lo in range(len(rows))
+            for hi in range(lo + 1, len(rows))
+            if preds[lo] != preds[hi]
+            and 1 <= sum(a != b for a, b in zip(rows[lo], rows[hi])) <= 2
+        ]
+        assert ctx.case_base().tolist() == [
+            [lo, hi] if preds[lo] == 0 else [hi, lo] for lo, hi in pairs
+        ]
+        c0 = ctx.model.predict(x0)
+        expected, valid = x0, False
+        best_d = None
+        for lo, hi in pairs:
+            same, other = (lo, hi) if preds[lo] == c0 else (hi, lo)
+            d = heom(ctx.stats, x0, rows[same], ctx.weights)
+            if best_d is None or d < best_d:
+                best_d = d
+                expected = tuple(
+                    rows[other][j] if rows[same][j] != rows[other][j] else x0[j]
+                    for j in range(len(x0))
+                )
+                valid = ctx.model.predict(expected) != c0
+        expl = explain_cbr(x0, ctx)
+        assert expl.counterfactual == expected
+        assert expl.valid == valid
 
 
 class TestSearchContext:

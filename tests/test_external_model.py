@@ -1,15 +1,17 @@
 """External model adapters: subprocess and HTTP transports, spec parsing."""
 
 import json
+import os
 import signal
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from nicecf.errors import ConfigError, ModelIOError
-from nicecf.model import external_model
+from nicecf.model import ExternalHandle, external_model
 
 # Worker that scores an instance as 1/(1+sum of numeric values), clamped.
 WORKER = r"""
@@ -110,6 +112,25 @@ time.sleep(60)
         handle.close()  # waits 5 s for the worker, then kills it
         assert proc.returncode == -signal.SIGKILL
 
+    def test_exited_worker_is_reaped_when_replaced(self):
+        once = r"""
+import json, sys
+req = json.loads(sys.stdin.readline())
+print(json.dumps({"scores": [0.5] * len(req["instances"])}), flush=True)
+"""
+        handle = external_model(worker_spec(once))
+        try:
+            assert handle.score((1.0,)) == 0.5
+            first = handle.transport._proc
+            # wait for the worker to exit, leaving it for the transport to reap
+            os.waitid(os.P_PID, first.pid, os.WEXITED | os.WNOWAIT)
+            assert handle.score((2.0,)) == 0.5
+            assert handle.transport._proc is not first
+            assert first.stdin.closed and first.stdout.closed
+            assert first.returncode == 0
+        finally:
+            handle.close()
+
     def test_missing_command(self):
         with pytest.raises(ConfigError):
             external_model("proc:   ")
@@ -148,6 +169,7 @@ def http_scorer():
     _Scorer.mode = "ok"
     yield f"127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -191,3 +213,21 @@ def test_unknown_scheme():
 def test_bad_batch_size():
     with pytest.raises(ConfigError):
         external_model(worker_spec(), batch_size=0)
+
+
+class RecordingTransport:
+    def __init__(self):
+        self.payloads = []
+
+    def request(self, payload, expected):
+        self.payloads.append(json.dumps(payload))
+        return np.full(expected, 0.5)
+
+    def close(self):
+        pass
+
+
+def test_negative_zero_sent_as_zero():
+    transport = RecordingTransport()
+    ExternalHandle(transport, batch_size=4).score((-0.0, "a"))
+    assert transport.payloads == ['{"instances": [[0.0, "a"]]}']
