@@ -78,34 +78,63 @@ def heom_to_rows(
     if tuple(s.name for s in stats) != tuple(s.name for s in dataset.schema):
         raise DistanceError("statistics do not match the dataset schema")
     w = check_weights(stats, weights)
-    return _weighted_scan(stats, [stat.range for stat in stats], x, dataset, w)
+    return _weighted_scan(stats, [stat.range for stat in stats], [x], dataset, w)[0]
 
 
 def _weighted_scan(
     stats: Sequence[FeatureStats],
     scales: Sequence[float],
-    x: Instance,
+    xs: Sequence[Instance],
     dataset: Dataset,
     weights: Sequence[float],
 ) -> np.ndarray:
-    """Weighted L1 distances from ``x`` to every row, numeric terms divided by ``scales``.
+    """Weighted L1 distances from each of ``xs`` to every row, shape (len(xs), rows).
 
-    Categorical features, and numerical ones whose scale is zero, use the 0/1
-    overlap. Terms are accumulated one feature at a time in schema order.
+    Numeric terms are divided by ``scales``. Categorical features, and
+    numerical ones whose scale is zero, use the 0/1 overlap. Terms are
+    accumulated one feature at a time in schema order, so each row of the
+    result is bit-identical to a scan of that instance alone. Within one
+    feature, the weighted term of each distinct value is computed once and
+    added to every instance holding it: each greedy-search candidate differs
+    from the current instance in one feature, so such a batch holds at most
+    two values per feature.
     Arguments are not validated; callers pass checked weights.
     """
-    total = np.zeros(len(dataset), dtype=np.float64)
+    total = np.zeros((len(xs), len(dataset)), dtype=np.float64)
+    rows = list(total)  # one view per instance; ``row += term`` writes into ``total``
     cols = dataset.columns()
     for j, (stat, scale, wj) in enumerate(zip(stats, scales, weights)):
+        holders: dict = {}
         if stat.kind is FeatureKind.CATEGORICAL:
             codes, mapping = cols[j]
-            term = (codes != mapping.get(x[j], -1)).astype(np.float64)
-        elif scale == 0.0:
-            term = (cols[j] != float(x[j])).astype(np.float64)
+            for row, x in zip(rows, xs):
+                holders.setdefault(mapping.get(x[j], -1), []).append(row)
         else:
-            term = np.abs(float(x[j]) - cols[j]) / scale
-        total += wj * term
+            for row, x in zip(rows, xs):
+                holders.setdefault(float(x[j]), []).append(row)
+        for value, holding in holders.items():
+            if stat.kind is FeatureKind.CATEGORICAL:
+                term = (codes != value).astype(np.float64)
+            elif scale == 0.0:
+                term = (cols[j] != value).astype(np.float64)
+            else:
+                term = np.abs(value - cols[j]) / scale
+            weighted = term if wj == 1.0 else wj * term  # x * 1.0 == x, bit for bit
+            for row in holding:
+                row += weighted
     return total
+
+
+def k_smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest entries of ``d``, ordered by (value, index).
+
+    Equal to ``np.lexsort((np.arange(len(d)), d))[:k]``, but sorts only the
+    entries not above the k-th smallest value, which ``np.partition`` finds.
+    NaN sorts last, so a NaN k-th value keeps every entry.
+    """
+    kth = np.partition(d, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(d > kth))
+    return candidates[np.lexsort((candidates, d[candidates]))[:k]]
 
 
 def k_nearest(
@@ -121,8 +150,7 @@ def k_nearest(
     if k > len(dataset):
         raise DistanceError(f"k={k} exceeds dataset size {len(dataset)}")
     d = heom_to_rows(stats, x, dataset, weights)
-    order = np.lexsort((np.arange(len(d)), d))
-    return [int(i) for i in order[:k]]
+    return [int(i) for i in k_smallest(d, k)]
 
 
 def nearest_unlike_neighbor(
@@ -145,7 +173,7 @@ def nearest_unlike_neighbor(
     if len(train_predictions) != len(train):
         raise DistanceError("one prediction per training row is required")
     preds = np.asarray(train_predictions, dtype=np.int64)
-    labels = np.asarray(train.labels, dtype=np.int64)
+    labels = train.label_array()
     eligible = (preds != predicted_class) & (labels == preds)
     if not bool(eligible.any()):
         raise NoUnlikeNeighborError(

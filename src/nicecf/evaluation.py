@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import chi2, rankdata
 
-from .distance import heom, heom_to_rows
+from .distance import heom, heom_to_rows, k_smallest
 from .errors import ConfigError, EvalError
 from .explainers import Explanation, SearchContext
 from .model import ClassifierHandle
@@ -71,8 +71,7 @@ def compute_metrics(
     xc = expl.counterfactual
     proximity = heom(ctx.stats, expl.source, xc)
     d = heom_to_rows(ctx.stats, xc, ctx.train)
-    k = min(5, len(d))
-    nearest = np.sort(d, kind="stable")[:k]
+    nearest = d[k_smallest(d, min(5, len(d)))]
     return MetricRecord(
         instance_id=instance_id,
         explainer_id=expl.explainer_id,

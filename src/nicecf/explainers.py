@@ -354,7 +354,7 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
 
 def _wit_distances(ctx: SearchContext, x0: Instance) -> np.ndarray:
     """Distances used by the nearest-neighbor baseline: HEOM with per-std numeric scaling."""
-    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], x0, ctx.train, ctx.weights)
+    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], [x0], ctx.train, ctx.weights)[0]
 
 
 def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:

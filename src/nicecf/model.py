@@ -31,8 +31,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .distance import check_weights, heom_to_rows
-from .errors import ConfigError, ModelIOError, TrainError
+# heom_to_rows is unused here but stays importable from this module:
+# bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
+from .distance import _weighted_scan, check_weights, heom_to_rows, k_smallest  # noqa: F401
+from .errors import ConfigError, DistanceError, ModelIOError, TrainError
 from .tabular import Dataset, FeatureStats, Instance, encode, encode_batch
 
 
@@ -110,7 +112,18 @@ def train_logistic(
 
 
 class KnnHandle(ClassifierHandle):
-    """k-nearest-neighbor vote over the training rows under the mixed-type metric."""
+    """k-nearest-neighbor vote over the training rows under the mixed-type metric.
+
+    A batch is scored in chunks of at most ``CHUNK_ROWS`` rows. Each chunk is
+    one ``_weighted_scan`` (per-feature terms shared by the rows holding the
+    same value), so a chunk's distance matrix stays a few megabytes however
+    long the batch. Each row's neighbors are then selected with
+    :func:`k_smallest`, not by sorting all its distances. Scores are
+    bit-identical to ``heom_to_rows`` followed by a full (distance, row index)
+    sort, one row at a time.
+    """
+
+    CHUNK_ROWS = 64
 
     def __init__(
         self,
@@ -119,18 +132,25 @@ class KnnHandle(ClassifierHandle):
         k: int,
         weights: tuple[float, ...],
     ):
+        if tuple(s.name for s in stats) != tuple(s.name for s in train.schema):
+            raise DistanceError("statistics do not match the dataset schema")
         self.stats = tuple(stats)
         self.train = train
         self.k = k
         self.weights = weights
+        self._ranges = [s.range for s in self.stats]
         self._labels = np.asarray(train.labels, dtype=np.float64)
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
+        for x in xs:
+            if len(x) != len(self.stats):
+                raise DistanceError("instance length does not match statistics")
         out = np.empty(len(xs), dtype=np.float64)
-        for i, x in enumerate(xs):
-            d = heom_to_rows(self.stats, x, self.train, self.weights)
-            order = np.lexsort((np.arange(len(d)), d))[: self.k]
-            out[i] = float(self._labels[order].mean())
+        for start in range(0, len(xs), self.CHUNK_ROWS):
+            chunk = xs[start : start + self.CHUNK_ROWS]
+            d = _weighted_scan(self.stats, self._ranges, chunk, self.train, self.weights)
+            for i, row in enumerate(d, start):
+                out[i] = float(self._labels[k_smallest(row, self.k)].sum()) / self.k
         return out
 
 
@@ -143,7 +163,9 @@ def train_knn_classifier(
     """Memorize the training rows; score = class-1 fraction among the k nearest.
 
     ``k`` must be odd so a vote can never split evenly, and no larger than the
-    training set. Distance ties break toward the smaller row index.
+    training set. Distances are the weighted HEOM of :func:`heom_to_rows`, and
+    distance ties break toward the smaller row index. ``stats`` must name the
+    training schema's features in order.
     """
     if train.labels is None:
         raise TrainError("training dataset has no labels")

@@ -82,8 +82,8 @@ class FeatureStats:
 class Dataset:
     """Immutable collection of validated rows plus optional binary labels.
 
-    Rows are stored as tuples in ingestion order. Columnar numpy views are
-    built lazily for vectorized distance scans and shared by all readers;
+    Rows are stored as tuples in ingestion order. Numpy views of the columns
+    and labels are built lazily for vectorized scans and shared by all readers;
     the object is safe to share across threads once constructed.
     """
 
@@ -101,6 +101,7 @@ class Dataset:
         for i, row in enumerate(self.rows):
             _check_row(self.schema, row, row_index=i)
         self._columns: list | None = None
+        self._label_array: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -129,6 +130,12 @@ class Dataset:
                     cols.append((codes, mapping))
             self._columns = cols
         return self._columns
+
+    def label_array(self) -> np.ndarray | None:
+        """The labels as an int64 array, built on first use; None when unlabeled."""
+        if self._label_array is None and self.labels is not None:
+            self._label_array = np.asarray(self.labels, dtype=np.int64)
+        return self._label_array
 
 
 def _check_row(schema: Sequence[FeatureSpec], row: Instance, row_index: int | None = None) -> None:

@@ -12,7 +12,7 @@ from nicecf.distance import (
 )
 from nicecf.errors import DistanceError, NoUnlikeNeighborError
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, FeatureStats, fit_stats
-from strategies import mixed_tables
+from strategies import FEW_NUMBERS, NUMBERS, mixed_tables, nearest_order
 
 
 def num_stat(lo, hi, name="x"):
@@ -118,6 +118,23 @@ class TestKNearest:
             k_nearest(tiny_stats, (10.0, "red"), tiny_dataset, 0)
         with pytest.raises(DistanceError):
             k_nearest(tiny_stats, (10.0, "red"), tiny_dataset, 5)
+
+    def test_wrong_length_rejected(self, tiny_dataset, tiny_stats):
+        for bad in ((10.0,), (10.0, "red", 1.0)):
+            with pytest.raises(DistanceError):
+                k_nearest(tiny_stats, bad, tiny_dataset, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_reference_on_random_schemas(self, data):
+        numbers = data.draw(st.sampled_from((NUMBERS, FEW_NUMBERS)))
+        table, x = data.draw(mixed_tables(numbers=numbers))
+        stats = fit_stats(table)
+        n = len(stats)
+        weights = data.draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        order = nearest_order(stats, x, table, weights)
+        for k in range(1, len(table) + 1):
+            assert k_nearest(stats, x, table, k, weights) == order[:k]
 
 
 class TestNearestUnlikeNeighbor:

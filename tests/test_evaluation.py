@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicecf.distance import heom
 from nicecf.errors import ConfigError, EvalError
@@ -38,6 +40,21 @@ def make_expl(source, counterfactual, valid=True, explainer_id="nice-spars"):
 
 def rec(iid, eid, valid=True, time_ms=1.0, **metrics):
     return MetricRecord(iid, eid, valid, time_ms, **metrics)
+
+
+@st.composite
+def sparsity_records(draw):
+    """Records of k explainers over n instances; some invalid, many values tied."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, 6))
+    records = []
+    for iid in range(n):
+        for e in range(k):
+            if draw(st.booleans()) and draw(st.booleans()):
+                records.append(rec(iid, f"e{e}", valid=False))
+            else:
+                records.append(rec(iid, f"e{e}", sparsity=draw(st.integers(1, 4))))
+    return draw(st.permutations(records)), k
 
 
 class TestComputeMetrics:
@@ -159,19 +176,12 @@ class TestRankTable:
         table = rank_table(records, "sparsity")
         assert table.ranks.tolist() == [[1.5, 1.5]]
 
-    def test_row_sums_are_conserved(self):
-        rng = np.random.default_rng(5)
-        records = []
-        k = 5
-        for iid in range(20):
-            for e in range(k):
-                if rng.uniform() < 0.3:
-                    records.append(rec(iid, f"e{e}", valid=False))
-                else:
-                    records.append(rec(iid, f"e{e}", sparsity=int(rng.integers(1, 4))))
+    @settings(max_examples=200, deadline=None)
+    @given(sparsity_records())
+    def test_row_sums_are_conserved(self, records_and_k):
+        records, k = records_and_k
         table = rank_table(records, "sparsity")
-        expected = k * (k + 1) / 2
-        assert np.allclose(table.ranks.sum(axis=1), expected)
+        assert table.ranks.sum(axis=1).tolist() == [k * (k + 1) / 2] * len(table.instance_ids)
 
     def test_order_follows_first_appearance(self):
         records = [
@@ -233,6 +243,12 @@ class TestFriedman:
         statistic, reject = friedman_test(table, alpha=0.01)
         assert statistic == pytest.approx(6.5)
         assert not reject  # critical value at df=2 is 9.210
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparsity_records(), st.sampled_from((0.01, 0.05, 0.1)))
+    def test_statistic_non_negative(self, records_and_k, alpha):
+        statistic, _ = friedman_test(rank_table(records_and_k[0], "sparsity"), alpha)
+        assert math.isfinite(statistic) and statistic >= 0.0
 
     def test_alpha_validation(self):
         table = self.table_from_values([(1, 2, 3), (3, 2, 1)])

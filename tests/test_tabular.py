@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nicecf.errors import ConfigError, EncodeError, IngestError, StatsError
 from nicecf.tabular import (
@@ -19,6 +20,7 @@ from nicecf.tabular import (
     stats_from_dicts,
     stats_to_dicts,
 )
+from strategies import mixed_tables
 
 
 def write_pair(tmp_path, schema_doc, csv_text):
@@ -232,6 +234,19 @@ class TestEncode:
         for i, row in enumerate(mixed_dataset.rows):
             assert np.array_equal(X[i], encode(stats, row))
 
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_tables())
+    def test_batch_matches_single_bitwise_on_random_schemas(self, table_and_x):
+        table, extra = table_and_x
+        stats = fit_stats(table)
+        batch = list(table.rows)
+        categorical = [(s, v) for s, v in zip(stats, extra) if s.kind is FeatureKind.CATEGORICAL]
+        if all(v in s.categories for s, v in categorical):
+            batch.append(extra)
+        X = encode_batch(stats, batch)
+        for i, x in enumerate(batch):
+            assert X[i].tobytes() == encode(stats, x).tobytes()
+
 
 class TestDataset:
     def test_row_validation(self):
@@ -251,3 +266,10 @@ class TestDataset:
         codes, mapping = cols[1]
         assert [mapping[c] for c in ("red", "blue", "green")] == [0, 1, 2]
         assert codes.tolist() == [0, 1, 0, 2]
+
+    def test_label_array_cache(self, tiny_dataset):
+        labels = tiny_dataset.label_array()
+        assert labels is tiny_dataset.label_array()
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [0, 0, 1, 1]
+        assert Dataset(tiny_dataset.schema, tiny_dataset.rows).label_array() is None
