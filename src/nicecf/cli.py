@@ -81,6 +81,16 @@ def _configure_logging() -> None:
         logging.basicConfig(level=level)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nicecf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,6 +107,19 @@ def _build_parser() -> _Parser:
             )
         p.add_argument("--weights", help="JSON file of per-feature cost weights")
         p.add_argument("--seed", type=int, default=0, help="seed for every stochastic step")
+
+    def batch(p: _Parser) -> None:
+        p.add_argument("--max-instances", type=_at_least_one, default=1000)
+        p.add_argument("--workers", type=_at_least_one, default=1)
+
+    def split_batch(p: _Parser) -> None:
+        p.add_argument(
+            "--explainers",
+            default=",".join(EXPLAINER_IDS),
+            help="comma-separated subset of: " + ",".join(EXPLAINER_IDS),
+        )
+        p.add_argument("--test-fraction", type=float, default=0.2)
+        batch(p)
 
     p = sub.add_parser("describe", help="print dataset statistics")
     p.add_argument("--schema", required=True)
@@ -117,34 +140,19 @@ def _build_parser() -> _Parser:
         help="search variant",
     )
     p.add_argument("--index", type=int, help="explain only this 0-based data row")
-    p.add_argument("--max-instances", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    batch(p)
     p.add_argument("--out", help="output directory (stdout when omitted)")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("benchmark", help="split, train, run explainers, emit reports")
     common(p)
-    p.add_argument(
-        "--explainers",
-        default=",".join(EXPLAINER_IDS),
-        help="comma-separated subset of: " + ",".join(EXPLAINER_IDS),
-    )
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--max-instances", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    split_batch(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("robustness", help="validity of explanations under a second model")
     common(p)
-    p.add_argument(
-        "--explainers",
-        default=",".join(EXPLAINER_IDS),
-        help="comma-separated subset of: " + ",".join(EXPLAINER_IDS),
-    )
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--max-instances", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    split_batch(p)
     p.add_argument("--out", help="output directory (stdout when omitted)")
     p.set_defaults(func=_cmd_robustness)
 
@@ -165,13 +173,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ConfigError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EngineError as exc:
@@ -203,6 +205,10 @@ def _load_weights(args, stats) -> list[float] | None:
     unknown = set(doc) - names
     if unknown:
         raise ConfigError(f"weights for unknown features: {sorted(unknown)}")
+    bad = {k: v for k, v in doc.items()
+           if isinstance(v, bool) or not isinstance(v, (int, float))}
+    if bad:
+        raise ConfigError(f"weights must be numbers, got {bad}")
     return [float(doc.get(s.name, 1.0)) for s in stats]
 
 
@@ -238,13 +244,7 @@ def _parse_explainers(text: str) -> list[str]:
     unknown = [e for e in ids if e not in EXPLAINER_IDS]
     if unknown:
         raise ConfigError(f"unknown explainers {unknown}; known: {list(EXPLAINER_IDS)}")
-    seen = set()
-    unique = []
-    for e in ids:
-        if e not in seen:
-            seen.add(e)
-            unique.append(e)
-    return unique
+    return list(dict.fromkeys(ids))
 
 
 def _explainer_fn(eid: str) -> Callable[..., Explanation]:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+from scipy.stats import chi2
 
 from .distance import heom, heom_to_rows, k_smallest
 from .errors import ConfigError, EvalError
@@ -115,6 +115,59 @@ class RankTable:
         return self.ranks.mean(axis=0)
 
 
+class _Grid:
+    """Records laid out as ``cells[instance][explainer]``.
+
+    Explainer and instance ids keep their first appearance in the records;
+    ``columns`` holds each explainer's records in record order.
+    """
+
+    def __init__(self, records: Sequence[MetricRecord]):
+        rows: dict[int, dict[str, MetricRecord]] = {}
+        self.columns: dict[str, list[MetricRecord]] = {}
+        for rec in records:
+            self.columns.setdefault(rec.explainer_id, []).append(rec)
+            row = rows.setdefault(rec.instance_id, {})
+            if rec.explainer_id in row:
+                raise EvalError(
+                    f"duplicate record for instance {rec.instance_id}, "
+                    f"explainer '{rec.explainer_id}'"
+                )
+            row[rec.explainer_id] = rec
+        self.explainer_ids = tuple(self.columns)
+        self.instance_ids = tuple(rows)
+        for iid, row in rows.items():
+            if len(row) != len(self.explainer_ids):
+                raise EvalError(f"instance {iid} does not cover the full explainer set")
+        self.cells = [[row[e] for e in self.explainer_ids] for row in rows.values()]
+        self.valid = np.array([[r.valid for r in row] for row in self.cells], dtype=bool)
+
+    def rank(self, metric: str) -> RankTable:
+        """Ranks of every cell on ``metric``; see :func:`rank_table`."""
+        raw = np.array([[getattr(r, metric) for r in row] for row in self.cells], dtype=object)
+        missing = np.argwhere(self.valid & np.equal(raw, None))
+        if len(missing):
+            r, c = missing[0]
+            raise EvalError(
+                f"record for instance {self.instance_ids[r]}, explainer "
+                f"'{self.explainer_ids[c]}' lacks metric '{metric}'"
+            )
+        values = np.where(self.valid, raw, 0.0).astype(np.float64)
+        k = len(self.explainer_ids)
+        # Average ranks among a row's valid cells: #less + (#equal + 1) / 2.
+        # A valid NaN makes every valid rank of its row NaN, as rankdata does.
+        pairs = self.valid[:, None, :]
+        less = (pairs & (values[:, None, :] < values[:, :, None])).sum(axis=2)
+        equal = (pairs & (values[:, None, :] == values[:, :, None])).sum(axis=2)
+        ranks = less + (equal + 1) / 2.0
+        ranks[np.isnan(values).any(axis=1)] = np.nan
+        # Invalid cells share the averaged worst ranks of their row. They are
+        # masked rather than filled with +inf, because a valid value can be +inf.
+        worst = k - (k - self.valid.sum(axis=1, keepdims=True) - 1) / 2.0
+        ranks = np.where(self.valid, ranks, worst)
+        return RankTable(metric, self.explainer_ids, self.instance_ids, ranks)
+
+
 def rank_table(records: Sequence[MetricRecord], metric: str) -> RankTable:
     """Rank explainers per instance on one metric, lower value = rank 1.
 
@@ -127,48 +180,7 @@ def rank_table(records: Sequence[MetricRecord], metric: str) -> RankTable:
         raise ConfigError(f"unknown metric '{metric}'")
     if not records:
         raise EvalError("cannot rank an empty record list")
-    explainer_ids: list[str] = []
-    by_instance: dict[int, dict[str, MetricRecord]] = {}
-    instance_ids: list[int] = []
-    for rec in records:
-        if rec.explainer_id not in explainer_ids:
-            explainer_ids.append(rec.explainer_id)
-        group = by_instance.setdefault(rec.instance_id, {})
-        if rec.instance_id not in instance_ids:
-            instance_ids.append(rec.instance_id)
-        if rec.explainer_id in group:
-            raise EvalError(
-                f"duplicate record for instance {rec.instance_id}, "
-                f"explainer '{rec.explainer_id}'"
-            )
-        group[rec.explainer_id] = rec
-    k = len(explainer_ids)
-    for iid in instance_ids:
-        if set(by_instance[iid]) != set(explainer_ids):
-            raise EvalError(f"instance {iid} does not cover the full explainer set")
-    ranks = np.empty((len(instance_ids), k), dtype=np.float64)
-    for r, iid in enumerate(instance_ids):
-        group = by_instance[iid]
-        valid_cols = [c for c, e in enumerate(explainer_ids) if group[e].valid]
-        invalid_cols = [c for c in range(k) if c not in valid_cols]
-        # All invalid entries share the averaged worst |invalid| ranks.
-        if invalid_cols:
-            worst = k - (len(invalid_cols) - 1) / 2.0
-            for c in invalid_cols:
-                ranks[r, c] = worst
-        if valid_cols:
-            values = []
-            for c in valid_cols:
-                v = getattr(group[explainer_ids[c]], metric)
-                if v is None:
-                    raise EvalError(
-                        f"record for instance {iid}, explainer "
-                        f"'{explainer_ids[c]}' lacks metric '{metric}'"
-                    )
-                values.append(float(v))
-            for c, rank in zip(valid_cols, rankdata(values, method="average")):
-                ranks[r, c] = rank
-    return RankTable(metric, tuple(explainer_ids), tuple(instance_ids), ranks)
+    return _Grid(records).rank(metric)
 
 
 def friedman_test(table: RankTable, alpha: float) -> tuple[float, bool]:
@@ -265,13 +277,9 @@ def summarize_records(records: Sequence[MetricRecord], alpha: float = 0.05) -> d
     """
     if not records:
         raise EvalError("cannot summarize an empty record list")
-    explainer_ids: list[str] = []
-    for r in records:
-        if r.explainer_id not in explainer_ids:
-            explainer_ids.append(r.explainer_id)
+    grid = _Grid(records)
     per_explainer = {}
-    for eid in explainer_ids:
-        mine = [r for r in records if r.explainer_id == eid]
+    for eid, mine in grid.columns.items():
         valid = [r for r in mine if r.valid]
         entry = {
             "instances": len(mine),
@@ -287,40 +295,36 @@ def summarize_records(records: Sequence[MetricRecord], alpha: float = 0.05) -> d
         if robust_flags:
             entry["robustness"] = float(np.mean(robust_flags))
         per_explainer[eid] = entry
-    n_instances = len({r.instance_id for r in records})
-    k = len(explainer_ids)
-    # time_ms exists on every record, so this ranking only fails on structural
-    # problems (duplicate or missing explainer entries); those should surface.
-    rank_table(records, "time_ms")
+    n_instances = len(grid.instance_ids)
+    k = len(grid.explainer_ids)
     ranking = {}
     for metric in REPORT_METRICS:
         try:
-            table = rank_table(records, metric)
+            table = grid.rank(metric)
         except EvalError:
             # A valid record without this metric value (e.g. no scorer was
             # configured): drop the metric from the ranking panels.
             continue
         mean_ranks = table.mean_ranks()
+        best = table.ranks.min(axis=1)
         entry = {
             "mean_ranks": {e: float(mr) for e, mr in zip(table.explainer_ids, mean_ranks)},
             "best_counts": {
-                e: int(np.sum(table.ranks[:, c] == table.ranks.min(axis=1)))
+                e: int(np.sum(table.ranks[:, c] == best))
                 for c, e in enumerate(table.explainer_ids)
             },
         }
-        if table.ranks.shape[0] >= 2 and k >= 2:
-            statistic, reject = friedman_test(table, alpha)
-            entry["friedman_statistic"] = statistic
-            entry["friedman_reject"] = reject
+        if n_instances >= 2 and k >= 2:
+            entry["friedman_statistic"], entry["friedman_reject"] = friedman_test(table, alpha)
         ranking[metric] = entry
     summary = {
         "instances": n_instances,
-        "explainers": explainer_ids,
+        "explainers": list(grid.explainer_ids),
         "alpha": alpha,
         "per_explainer": per_explainer,
         "ranking": ranking,
     }
-    if 2 <= k <= 10 and n_instances >= 1:
+    if 2 <= k <= 10:
         summary["nemenyi_cd"] = nemenyi_cd(k, n_instances, alpha)
     return summary
 

@@ -27,10 +27,14 @@ scaling (wit); sedc, which is the same greedy search with the sparsity
 reward run toward the training mean/mode instance instead of a training
 row, and so has no flip guarantee; and a case-based explainer reusing
 pairs of training rows that differ in at most two features (cbr).
+
+Every explainer first rejects a source holding a NaN or infinite number
+with :class:`EncodeError`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -46,7 +50,7 @@ from .distance import (
     heom_to_rows,
     nearest_unlike_neighbor,
 )
-from .errors import ConfigError, NoUnlikeNeighborError
+from .errors import ConfigError, EncodeError, NoUnlikeNeighborError
 from .model import ClassifierHandle
 from .plausibility import PlausibilityScorer
 from .tabular import Dataset, FeatureKind, FeatureStats, Instance
@@ -246,6 +250,13 @@ def reward(
     return _reward_core(kind, ctx, y_hat, p_prev, p_cand, j, prev[j], cand[j], ae_prev, ae_cand)
 
 
+def _check_source(x0: Instance, ctx: SearchContext) -> None:
+    """Reject a NaN or infinite number in ``x0`` before any model or distance sees it."""
+    for stat, value in zip(ctx.stats, x0):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise EncodeError(f"non-finite value {value} for '{stat.name}'")
+
+
 def _explanation(
     explainer_id: str,
     x0: Instance,
@@ -335,6 +346,7 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     copies anchor values with the given reward. Termination with a flip is
     guaranteed because the last remaining candidate is the anchor itself.
     """
+    _check_source(x0, ctx)
     t0 = time.perf_counter()
     if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
         raise ConfigError("plausibility search requires a scorer on the context")
@@ -363,6 +375,7 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     No correctness filter: a misclassified training row qualifies. Distance
     ties break toward the smaller row index.
     """
+    _check_source(x0, ctx)
     t0 = time.perf_counter()
     c0 = ctx.model.predict(x0)
     preds = ctx.train_predictions()
@@ -388,6 +401,7 @@ def explain_sedc(
     c, every instance predicted as the other class is explained successfully,
     because the search terminates at that instance in the worst case.
     """
+    _check_source(x0, ctx)
     t0 = time.perf_counter()
     if max_iters is not None and max_iters < 1:
         raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
@@ -408,6 +422,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     first pair in case-base order. An empty case base, or a copy that fails
     to flip the class, yields ``valid=False``.
     """
+    _check_source(x0, ctx)
     t0 = time.perf_counter()
     c0 = ctx.model.predict(x0)
     base = ctx.case_base()

@@ -178,15 +178,20 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
         doc = json.loads(Path(schema_file).read_text())
     except json.JSONDecodeError as exc:
         raise IngestError(f"schema file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "features" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("features"), list):
         raise IngestError("schema file must be an object with a 'features' list")
     specs = []
     for entry in doc["features"]:
+        if not isinstance(entry, dict):
+            raise IngestError(f"bad feature entry in schema: {entry!r}")
         name = entry.get("name")
         kind = entry.get("kind")
-        if not name or kind not in ("categorical", "numerical"):
-            raise IngestError(f"bad feature entry in schema: {entry!r}")
         declared = entry.get("categories")
+        if not name or kind not in ("categorical", "numerical") or not (
+            declared is None
+            or isinstance(declared, list) and all(isinstance(c, str) for c in declared)
+        ):
+            raise IngestError(f"bad feature entry in schema: {entry!r}")
         categories = tuple(declared) if declared is not None else None
         specs.append(FeatureSpec(name, FeatureKind(kind), categories))
     label = doc.get("label")

@@ -85,6 +85,33 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--max-instances", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    @pytest.mark.parametrize("command", [
+        ["explain", "--model", "builtin:logistic"],
+        ["benchmark", "--model", "builtin:logistic"],
+        ["robustness", "--model", "builtin:logistic", "--model", "builtin:logistic"],
+    ], ids=["explain", "benchmark", "robustness"])
+    def test_counts_below_one_rejected(self, data_files, tmp_path, command, flag, value, capsys):
+        code = run_command(
+            [command[0], *common(data_files), *command[1:], flag, value,
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("features", [
+        ["num0", 5], {"name": "num0"},
+        [{"name": "num0", "kind": "numerical", "categories": 5}],
+    ])
+    def test_malformed_schema_is_input_error(self, data_files, tmp_path, features, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"features": features, "label": "label"}))
+        code = run_command(["describe", "--schema", str(schema), "--data", data_files[1]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrain:
     def test_train_subcommand_removed(self, data_files, tmp_path, capsys):
@@ -193,6 +220,17 @@ class TestWeights:
              "--index", "0", "--weights", str(weights)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["abc", None, True, [1.0], {"w": 1.0}])
+    def test_non_numeric_weight_rejected(self, data_files, tmp_path, value, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"num0": 2.0, "cat0": value}))
+        code = run_command(
+            ["explain", *common(data_files), "--model", "builtin:logistic",
+             "--index", "0", "--weights", str(weights)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBenchmark:

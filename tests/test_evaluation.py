@@ -1,14 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from nicecf.distance import heom
 from nicecf.errors import ConfigError, EvalError
 from nicecf.evaluation import (
+    REPORT_METRICS,
     MetricRecord,
+    RankTable,
     compute_metrics,
     cross_model_robustness,
     friedman_test,
@@ -55,6 +59,119 @@ def sparsity_records(draw):
             else:
                 records.append(rec(iid, f"e{e}", sparsity=draw(st.integers(1, 4))))
     return draw(st.permutations(records)), k
+
+
+INF = float("inf")
+# Repeats make ties; 0.1, 0.7 and 1/3 make a mean depend on summation order.
+TIED_VALUES = st.sampled_from([0.0, 0.5, 0.5, 0.1, 0.7, 1 / 3, INF, -INF, float("nan")])
+
+
+@st.composite
+def mixed_records(draw):
+    """Shuffled records over distinct instance ids: ties, invalid cells, ±inf, NaN."""
+    iids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(1, 5))
+    records = []
+    for iid in iids:
+        for e in range(k):
+            if draw(st.integers(0, 3)) == 0:
+                records.append(rec(iid, f"e{e}", valid=False))
+            else:
+                records.append(rec(
+                    iid, f"e{e}", sparsity=draw(st.integers(0, 3)),
+                    proximity=draw(TIED_VALUES), ae_error=draw(TIED_VALUES),
+                    knn5=draw(TIED_VALUES), robust=draw(st.none() | st.booleans()),
+                ))
+    return draw(st.permutations(records))
+
+
+def reference_table(records, metric):
+    """Rank each instance's valid records with rankdata; invalid ones share the worst ranks."""
+    eids = tuple(dict.fromkeys(r.explainer_id for r in records))
+    iids = tuple(dict.fromkeys(r.instance_id for r in records))
+    cells = {(r.instance_id, r.explainer_id): r for r in records}
+    k = len(eids)
+    ranks = np.empty((len(iids), k))
+    for i, iid in enumerate(iids):
+        row = [cells[iid, e] for e in eids]
+        valid = [c for c, r in enumerate(row) if r.valid]
+        ranks[i] = k - (k - len(valid) - 1) / 2.0
+        if valid:
+            values = [float(getattr(row[c], metric)) for c in valid]
+            ranks[i, valid] = rankdata(values, method="average")
+    return RankTable(metric, eids, iids, ranks)
+
+
+def reference_summary(records, alpha=0.05):
+    """The summary rebuilt from reference_table, with means taken in record order."""
+    first = reference_table(records, "time_ms")
+    n, k = first.ranks.shape
+    per_explainer = {}
+    for e in first.explainer_ids:
+        mine = [r for r in records if r.explainer_id == e]
+        valid = [r for r in mine if r.valid]
+        entry = {"instances": len(mine), "coverage": len(valid) / len(mine)}
+        for m in REPORT_METRICS:
+            entry[f"mean_{m}"] = (
+                float(np.mean([float(getattr(r, m)) for r in valid])) if valid else None
+            )
+        flags = [r.robust for r in valid if r.robust is not None]
+        if flags:
+            entry["robustness"] = float(np.mean(flags))
+        per_explainer[e] = entry
+    ranking = {}
+    for m in REPORT_METRICS:
+        table = reference_table(records, m)
+        best = table.ranks.min(axis=1)
+        entry = {
+            "mean_ranks": dict(zip(table.explainer_ids, map(float, table.mean_ranks()))),
+            "best_counts": {
+                e: int(np.sum(table.ranks[:, c] == best))
+                for c, e in enumerate(table.explainer_ids)
+            },
+        }
+        if n >= 2 and k >= 2:
+            entry["friedman_statistic"], entry["friedman_reject"] = friedman_test(table, alpha)
+        ranking[m] = entry
+    summary = {
+        "instances": n, "explainers": list(first.explainer_ids), "alpha": alpha,
+        "per_explainer": per_explainer, "ranking": ranking,
+    }
+    if 2 <= k <= 10:
+        summary["nemenyi_cd"] = nemenyi_cd(k, n, alpha)
+    return summary
+
+
+class TestAgainstRankdataReference:
+    # A valid +inf cell beside an invalid one: filling invalid cells with +inf
+    # before one rankdata call would tie the two.
+    INF_BESIDE_INVALID = [
+        rec(7, "a", sparsity=1, proximity=INF, ae_error=INF, knn5=INF),
+        rec(7, "b", valid=False),
+        rec(3, "b", sparsity=0, proximity=0.5, ae_error=-INF, knn5=float("nan")),
+        rec(3, "a", sparsity=1, proximity=0.5, ae_error=INF, knn5=0.0),
+    ]
+
+    # Explainer "a" meets instances in the order 3, 2, 1 but they were first
+    # seen as 1, 2, 3: its mean proximity depends on which order is summed.
+    ORDER_SENSITIVE_MEAN = [rec(i, "b", valid=False) for i in (1, 2, 3)] + [
+        rec(3, "a", sparsity=1, proximity=0.5, ae_error=0.0, knn5=0.0),
+        rec(2, "a", sparsity=1, proximity=0.7, ae_error=0.0, knn5=0.0),
+        rec(1, "a", sparsity=1, proximity=0.1, ae_error=0.0, knn5=0.0),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_records())
+    @example(INF_BESIDE_INVALID)
+    @example(ORDER_SENSITIVE_MEAN)
+    def test_ranks_and_summary_match_bitwise(self, records):
+        for metric in REPORT_METRICS + ("time_ms",):
+            table, expected = rank_table(records, metric), reference_table(records, metric)
+            assert table.explainer_ids == expected.explainer_ids
+            assert table.instance_ids == expected.instance_ids
+            assert table.ranks.tobytes() == expected.ranks.tobytes()
+        assert json.dumps(summarize_records(records)) == json.dumps(reference_summary(records))
 
 
 class TestComputeMetrics:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 
 import nicecf.explainers
 from nicecf.distance import heom
-from nicecf.errors import ConfigError, NoUnlikeNeighborError
+from nicecf.errors import ConfigError, EncodeError, NoUnlikeNeighborError
 from nicecf.explainers import (
     Explanation,
     RewardKind,
@@ -18,7 +18,7 @@ from nicecf.explainers import (
     explanation_to_dict,
     reward,
 )
-from nicecf.model import ClassifierHandle, train_logistic
+from nicecf.model import ClassifierHandle, train_knn_classifier, train_logistic
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
 from strategies import mixed_tables
@@ -381,6 +381,27 @@ class TestNiceProperties:
             d_prox = heom(ctx.stats, x0, prox.counterfactual)
             d_none = heom(ctx.stats, x0, none.counterfactual)
             assert d_prox <= d_none
+
+
+def train_knn3(stats, data):
+    return train_knn_classifier(stats, data, k=3)
+
+
+@pytest.mark.parametrize("train", [train_logistic, train_knn3], ids=["logistic", "knn3"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("explain", [
+    lambda x0, ctx: explain_nice(x0, RewardKind.NONE, ctx),
+    lambda x0, ctx: explain_nice(x0, RewardKind.SPARSITY, ctx),
+    explain_wit, explain_sedc, explain_cbr,
+], ids=["nice-none", "nice-spars", "wit", "sedc", "cbr"])
+def test_non_finite_source_rejected(quantized_dataset, train, bad, explain):
+    stats = fit_stats(quantized_dataset)
+    ctx = SearchContext(quantized_dataset, stats, train(stats, quantized_dataset))
+    x0 = quantized_dataset.rows[0]
+    for j in (0, 1):
+        with pytest.raises(EncodeError, match=stats[j].name):
+            explain(x0[:j] + (bad,) + x0[j + 1:], ctx)
+    assert explain(x0, ctx).source == x0
 
 
 class TestWit:

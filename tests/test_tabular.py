@@ -113,6 +113,18 @@ class TestLoadDataset:
         with pytest.raises(IngestError):
             load_dataset(schema, data)
 
+    @pytest.mark.parametrize("features", [
+        ["age", "color"], [None], [5], "age", {"name": "age"}, None,
+        [{"name": "age", "kind": "numerical", "categories": 5}],
+        [{"name": "age", "kind": "categorical", "categories": "rb"}],
+        [{"name": "age", "kind": "categorical", "categories": ["r", 1]}],
+    ])
+    def test_malformed_feature_entries(self, tmp_path, features):
+        # The one row would load under either categorical entry read loosely.
+        schema, data = write_pair(tmp_path, {"features": features}, "age\nr\n")
+        with pytest.raises(IngestError):
+            load_dataset(schema, data)
+
     def test_empty_csv(self, tmp_path):
         schema, data = write_pair(tmp_path, BASIC_SCHEMA, "")
         with pytest.raises(IngestError):
