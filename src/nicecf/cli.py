@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -209,6 +210,9 @@ def _load_weights(args, stats) -> list[float] | None:
            if isinstance(v, bool) or not isinstance(v, (int, float))}
     if bad:
         raise ConfigError(f"weights must be numbers, got {bad}")
+    bad = {k: v for k, v in doc.items() if not 0.0 < v < math.inf}
+    if bad:
+        raise ConfigError(f"weights must be positive and finite, got {bad}")
     return [float(doc.get(s.name, 1.0)) for s in stats]
 
 

@@ -52,7 +52,7 @@ from .distance import (
 )
 from .errors import ConfigError, EncodeError, NoUnlikeNeighborError
 from .model import ClassifierHandle
-from .plausibility import PlausibilityScorer
+from .plausibility import PlausibilityScorer, score_swaps
 from .tabular import Dataset, FeatureKind, FeatureStats, Instance
 
 
@@ -293,12 +293,13 @@ def _greedy_toward(
 ) -> tuple[Instance, tuple[TraceStep, ...], bool]:
     """Copy ``target`` values into ``x0`` one feature per iteration until the class flips.
 
-    ``p0`` is the model's score of ``x0``. Each iteration builds one
-    candidate per feature still differing from the target, scores them in a
-    single batch, and keeps the reward argmax (ties to the smallest feature
-    index). The search stops at the first flip, when nothing is left to copy,
-    or after ``max_iters`` iterations. Returns (counterfactual, trace, valid),
-    where valid means the class flipped.
+    ``p0`` is the model's score of ``x0``. Each iteration scores one
+    candidate per feature still differing from the target, in one
+    ``score_swaps`` call to the model (and one to the scorer for the
+    plausibility reward), and keeps the reward argmax (ties to the smallest
+    feature index). The search stops at the first flip, when nothing is left
+    to copy, or after ``max_iters`` iterations. Returns (counterfactual,
+    trace, valid), where valid means the class flipped.
     """
     c0 = _predicted(p0)
     y_hat = 1 if c0 == 1 else -1
@@ -310,16 +311,11 @@ def _greedy_toward(
         remaining = [j for j in range(len(current)) if current[j] != target[j]]
         if not remaining:
             break
-        candidates = []
-        for j in remaining:
-            hybrid = list(current)
-            hybrid[j] = target[j]
-            candidates.append(tuple(hybrid))
-        p_cands = ctx.model.score_batch(candidates)
+        p_cands = ctx.model.score_swaps(current, target, remaining)
         if kind is RewardKind.PLAUSIBILITY:
-            ae_cands = [ctx.scorer(c) for c in candidates]
+            ae_cands = score_swaps(ctx.scorer, current, target, remaining)
         else:
-            ae_cands = [None] * len(candidates)
+            ae_cands = [None] * len(remaining)
         best = 0
         best_reward = None
         for i, j in enumerate(remaining):

@@ -4,7 +4,10 @@ Every model is used through the same handle interface: ``score`` returns the
 probability of class 1 for one instance, ``predict`` thresholds it at 0.5
 (ties go to class 1), and the batch variants do the same for many rows.
 ``score(x)`` is defined as ``score_batch([x])[0]`` so single and batched
-scoring can never disagree.
+scoring can never disagree. A subclass implements ``score_batch``; it may
+also override ``score_swaps``, the greedy search's one question ("score
+``current`` with feature j taken from ``target``, for each j"), as an exact
+fast path. The default builds the hybrids and calls ``score_batch``.
 
 Built-in models operate on the numeric encoding of the training statistics.
 External models receive raw feature values over a line-oriented JSON
@@ -35,14 +38,32 @@ from scipy.special import expit
 # bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
 from .distance import _weighted_scan, check_weights, heom_to_rows, k_smallest  # noqa: F401
 from .errors import ConfigError, DistanceError, ModelIOError, TrainError
-from .tabular import Dataset, FeatureStats, Instance, encode, encode_batch
+from .tabular import (
+    Dataset,
+    FeatureStats,
+    Instance,
+    encode,
+    encode_batch,
+    encode_swaps,
+    swap_hybrids,
+)
 
 
 class ClassifierHandle:
-    """Uniform scoring interface; subclasses implement ``score_batch`` only."""
+    """Uniform scoring interface.
+
+    Subclasses implement ``score_batch``. ``score_swaps`` is an optional
+    override: a fast path that must return exactly what the default returns.
+    """
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         raise NotImplementedError
+
+    def score_swaps(
+        self, current: Instance, target: Instance, features: Sequence[int]
+    ) -> np.ndarray:
+        """Score of ``current`` with feature j taken from ``target``, for each j in ``features``."""
+        return self.score_batch(swap_hybrids(current, target, features))
 
     def score(self, x: Instance) -> float:
         return float(self.score_batch([x])[0])
@@ -66,13 +87,21 @@ class LogisticHandle(ClassifierHandle):
         self.intercept = float(intercept)
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
-        # Row-at-a-time dot products: keeps batched scores bit-identical to
-        # single-instance scores regardless of BLAS kernel selection.
-        out = np.empty(len(xs), dtype=np.float64)
-        for i, x in enumerate(xs):
-            z = float(np.dot(encode(self.stats, x), self.coef)) + self.intercept
-            out[i] = _sigmoid(z)
-        return out
+        scores = (self._score_vector(encode(self.stats, x)) for x in xs)
+        return np.fromiter(scores, np.float64, len(xs))
+
+    def score_swaps(
+        self, current: Instance, target: Instance, features: Sequence[int]
+    ) -> np.ndarray:
+        """Exact fast path: two encodings, patched once per feature (:func:`encode_swaps`)."""
+        rows = encode_swaps(self.stats, current, target, features)
+        return np.fromiter(map(self._score_vector, rows), np.float64, len(rows))
+
+    def _score_vector(self, v: np.ndarray) -> float:
+        # One dot product per encoded row, never one matrix product over a
+        # batch: keeps every score bit-identical to the single-instance score
+        # regardless of BLAS kernel selection.
+        return _sigmoid(float(np.dot(v, self.coef)) + self.intercept)
 
 
 def _sigmoid(z: float) -> float:

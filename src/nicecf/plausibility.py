@@ -8,7 +8,10 @@ difference between its encoding and the reconstruction, is low near the
 training manifold and grows for implausible inputs.
 
 Any callable mapping an instance to a non-negative float can stand in for
-the autoencoder wherever a plausibility scorer is accepted.
+the autoencoder wherever a plausibility scorer is accepted. A scorer may also
+have a ``score_swaps(current, target, features)`` method, an exact fast path
+for the greedy search's single-feature hybrids (see :func:`score_swaps`); the
+autoencoder scorer has one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from scipy.special import expit
 
 from .errors import ConfigError, TrainError
 from .rng import SplitMix64
-from .tabular import Dataset, FeatureStats, Instance, encode, encode_batch, fit_stats
+from .tabular import (
+    Dataset,
+    FeatureStats,
+    Instance,
+    encode,
+    encode_batch,
+    encode_swaps,
+    fit_stats,
+    swap_hybrids,
+)
 
 log = logging.getLogger(__name__)
 
@@ -158,7 +170,12 @@ def train_autoencoder(
 
 def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
     """Mean squared difference between encode(x) and its reconstruction."""
-    v = encode(stats, x)
+    return _vector_error(ae, encode(stats, x))
+
+
+def _vector_error(ae: AEModel, v: np.ndarray) -> float:
+    # One encoded vector at a time, never one matrix product over a batch:
+    # rows of X @ w1 differ from x @ w1 in the last bits.
     if v.shape[0] != ae.width:
         raise ConfigError(
             f"statistics encode to width {v.shape[0]}, autoencoder expects {ae.width}"
@@ -167,9 +184,41 @@ def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
     return float(np.dot(diff, diff)) / ae.width
 
 
-def ae_scorer(ae: AEModel, stats: Sequence[FeatureStats]) -> PlausibilityScorer:
+class AEScorer:
+    """A trained autoencoder bound to statistics: ``scorer(x) == ae_error(ae, stats, x)``."""
+
+    def __init__(self, ae: AEModel, stats: Sequence[FeatureStats]):
+        self.ae = ae
+        self.stats = tuple(stats)
+
+    def __call__(self, x: Instance) -> float:
+        return ae_error(self.ae, self.stats, x)
+
+    def score_swaps(
+        self, current: Instance, target: Instance, features: Sequence[int]
+    ) -> list[float]:
+        """Exact fast path: two encodings, patched once per feature (:func:`encode_swaps`)."""
+        rows = encode_swaps(self.stats, current, target, features)
+        return [_vector_error(self.ae, v) for v in rows]
+
+
+def ae_scorer(ae: AEModel, stats: Sequence[FeatureStats]) -> AEScorer:
     """Bind a trained autoencoder and statistics into a plausibility scorer."""
-    return lambda x: ae_error(ae, stats, x)
+    return AEScorer(ae, stats)
+
+
+def score_swaps(
+    scorer: PlausibilityScorer, current: Instance, target: Instance, features: Sequence[int]
+) -> list[float]:
+    """``scorer`` of ``current`` with feature j taken from ``target``, for each j in ``features``.
+
+    Uses the scorer's own ``score_swaps`` when it has one; a plain callable
+    scores each hybrid in turn.
+    """
+    fast = getattr(scorer, "score_swaps", None)
+    if fast is not None:
+        return fast(current, target, features)
+    return [scorer(h) for h in swap_hybrids(current, target, features)]
 
 
 def save_ae(ae: AEModel, path: str | Path) -> None:

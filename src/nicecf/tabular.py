@@ -350,14 +350,21 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     """Deterministic shuffled train/test split.
 
     Train size is ceil(n * (1 - test_fraction)); the remainder is the test
-    split. Statistics are not carried over: refit on the returned train split.
+    split. A fraction that leaves either split empty raises
+    :class:`ConfigError`. Statistics are not carried over: refit on the
+    returned train split.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(dataset)
+    n_train = math.ceil(n * (1.0 - test_fraction))
+    if not 0 < n_train < n:
+        raise ConfigError(
+            f"test_fraction {test_fraction} splits {n} rows into "
+            f"{n_train} train and {n - n_train} test rows; both must be non-empty"
+        )
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
-    n_train = math.ceil(n * (1.0 - test_fraction))
     train_idx, test_idx = order[:n_train], order[n_train:]
 
     def take(idx: list[int]) -> Dataset:
@@ -368,9 +375,13 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     return take(train_idx), take(test_idx)
 
 
+def _slot_counts(stats: Sequence[FeatureStats]) -> list[int]:
+    return [1 if s.kind is FeatureKind.NUMERICAL else len(s.categories) for s in stats]
+
+
 def encoded_width(stats: Sequence[FeatureStats]) -> int:
     """Length of the encoded vector: 1 per numerical feature, |categories| per categorical."""
-    return sum(1 if s.kind is FeatureKind.NUMERICAL else len(s.categories) for s in stats)
+    return sum(_slot_counts(stats))
 
 
 def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
@@ -403,6 +414,36 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
             out[pos + offset] = 1.0
             pos += len(stat.categories)
     return out
+
+
+def swap_hybrids(current: Instance, target: Instance, features: Sequence[int]) -> list[Instance]:
+    """``current`` with feature j taken from ``target``, one tuple per j in ``features``."""
+    hybrids = []
+    for j in features:
+        hybrid = list(current)
+        hybrid[j] = target[j]
+        hybrids.append(tuple(hybrid))
+    return hybrids
+
+
+def encode_swaps(
+    stats: Sequence[FeatureStats],
+    current: Instance,
+    target: Instance,
+    features: Sequence[int],
+) -> np.ndarray:
+    """Encodings of :func:`swap_hybrids`, one row per j in ``features``.
+
+    :func:`encode` fills each feature's slots from that feature's value only,
+    so row i is ``encode(current)`` with the slots of ``features[i]`` taken
+    from ``encode(target)``, bit for bit: two encodings whatever the number
+    of features. ``current`` and ``target`` must both be encodable.
+    """
+    base = encode(stats, current)
+    donor = encode(stats, target)
+    owner = np.repeat(np.arange(len(stats)), _slot_counts(stats))
+    take = owner[None, :] == np.asarray(features, dtype=np.intp)[:, None]
+    return np.where(take, donor, base)
 
 
 def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:

@@ -65,6 +65,32 @@ def knn_problems(draw):
     return table, k, weights, batch
 
 
+@st.composite
+def swap_problems(draw):
+    """A labeled random table, plus a greedy-search step to score over it.
+
+    Returns (table, current, target, features). ``current`` is a table
+    row with some values replaced by the extra instance's, wherever those
+    are encodable (out-of-range numbers included). ``target`` is a table row.
+    ``features`` may skip, repeat or reorder positions.
+    """
+    table, extra = draw(mixed_tables())
+    n, m = len(table), len(extra)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = Dataset(table.schema, table.rows, labels)
+    row = draw(st.sampled_from(table.rows))
+    replace = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    current = tuple(
+        extra[j] if replace[j] and (
+            spec.kind is FeatureKind.NUMERICAL or extra[j] in {r[j] for r in table.rows}
+        ) else row[j]
+        for j, spec in enumerate(table.schema)
+    )
+    target = draw(st.sampled_from(table.rows))
+    features = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    return table, current, target, features
+
+
 def nearest_order(stats, x, table, weights=None):
     """Every row index of ``table``, sorted by (scalar ``heom`` from ``x``, row index)."""
     d = [heom(stats, x, row, weights) for row in table.rows]

@@ -232,6 +232,20 @@ class TestWeights:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    # Written as JSON text: 1e400 parses as inf, NaN as nan.
+    @pytest.mark.parametrize("value", ["-1", "0", "NaN", "1e400"])
+    def test_non_positive_or_non_finite_weight_rejected(
+        self, data_files, tmp_path, value, capsys
+    ):
+        weights = tmp_path / "weights.json"
+        weights.write_text(f'{{"num0": {value}}}')
+        code = run_command(
+            ["explain", *common(data_files), "--model", "builtin:logistic",
+             "--index", "0", "--weights", str(weights)]
+        )
+        assert code == 1
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def run_benchmark(self, data_files, out, *extra):
@@ -268,6 +282,12 @@ class TestBenchmark:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["explainers"] == ["nice-spars", "wit"]
         assert summary["instances"] == 6
+
+    def test_empty_test_split_rejected(self, data_files, tmp_path, capsys):
+        # 80 rows: ceil(80 * 0.99) = 80 train rows leave no test row.
+        code = self.run_benchmark(data_files, tmp_path, "--test-fraction", "0.01")
+        assert code == 1
+        assert "both must be non-empty" in capsys.readouterr().err
 
 
 class TestRobustness:

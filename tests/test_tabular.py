@@ -212,6 +212,13 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(mixed_dataset, fraction, seed=0)
 
+    def test_empty_side_rejected(self, mixed_dataset):
+        # ceil(120 * 0.999) is 120: no test row is left.
+        with pytest.raises(ConfigError, match="both must be non-empty"):
+            split(mixed_dataset, 0.001, seed=0)
+        with pytest.raises(ConfigError, match="both must be non-empty"):
+            split(Dataset(mixed_dataset.schema, []), 0.5, seed=0)
+
 
 class TestEncode:
     def test_width(self, tiny_stats):
