@@ -77,8 +77,6 @@ from .tabular import (
     load_dataset,
     load_schema,
     split,
-    stats_from_dicts,
-    stats_to_dicts,
 )
 
 __version__ = "0.1.0"
@@ -138,8 +136,6 @@ __all__ = [
     "save_ae",
     "save_dataset",
     "split",
-    "stats_from_dicts",
-    "stats_to_dicts",
     "summarize_records",
     "train_autoencoder",
     "train_knn_classifier",

@@ -52,6 +52,7 @@ from .plausibility import AEConfig, ae_scorer, save_ae, train_autoencoder
 from .tabular import (
     Dataset,
     FeatureKind,
+    Instance,
     fit_stats,
     load_dataset,
     split,
@@ -189,8 +190,11 @@ def main() -> None:
 # --- shared plumbing -------------------------------------------------------
 
 
-def _load(args) -> Dataset:
-    return load_dataset(args.schema, args.data)
+def _labeled(args) -> Dataset:
+    data = load_dataset(args.schema, args.data)
+    if data.labels is None:
+        raise ConfigError(f"{args.command} requires a labeled dataset")
+    return data
 
 
 def _load_weights(args, stats) -> list[float] | None:
@@ -262,55 +266,68 @@ def _explainer_fn(eid: str) -> Callable[..., Explanation]:
     return explain_cbr
 
 
-def _ensure_out(args) -> Path | None:
-    out = getattr(args, "out", None)
-    if out is None:
-        return None
-    path = Path(out)
+def _ensure_out(args) -> Path:
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _run_instances(
-    instances: Sequence, explainer_ids: Sequence[str], ctx: SearchContext, workers: int
-) -> list[list[tuple[str, Explanation | None, float]]]:
-    """Run every explainer on every instance.
+def _emit(args, name: str, payload) -> None:
+    """Print ``payload`` as JSON, or write it to ``--out/name`` when given."""
+    text = json.dumps(payload, indent=2)
+    if args.out is None:
+        print(text)
+    else:
+        path = _ensure_out(args) / name
+        path.write_text(text + "\n")
+        print(f"wrote {path}")
 
-    Returns, per instance, a list of (explainer_id, explanation-or-None,
-    elapsed_ms) where None marks an attempt that found no unlike neighbor.
-    Results are ordered by instance position regardless of worker scheduling.
+
+Attempt = tuple[int, str, Explanation | None, float]
+
+
+def _run_instances(
+    instances: Sequence[tuple[int, Instance]], explainer_ids: Sequence[str],
+    ctx: SearchContext, workers: int,
+) -> list[Attempt]:
+    """The one batch path: run every explainer on every ``(instance id, row)`` pair.
+
+    Warms ``ctx`` first, so workers share a read-only context. Returns one
+    ``(instance_id, explainer_id, explanation-or-None, elapsed_ms)`` per attempt,
+    instance-major; None marks an attempt that found no unlike neighbor.
     """
+    ctx.warm(include_case_base="cbr" in explainer_ids)
     fns = [(eid, _explainer_fn(eid)) for eid in explainer_ids]
 
-    def one(x0) -> list[tuple[str, Explanation | None, float]]:
-        results = []
+    def one(instance: tuple[int, Instance]) -> list[Attempt]:
+        iid, x0 = instance
+        attempts = []
         for eid, fn in fns:
             t0 = time.perf_counter()
             try:
                 expl = fn(x0, ctx)
-                results.append((eid, expl, expl.elapsed_ms))
+                attempts.append((iid, eid, expl, expl.elapsed_ms))
             except NoUnlikeNeighborError:
-                results.append((eid, None, (time.perf_counter() - t0) * 1000.0))
-        return results
+                attempts.append((iid, eid, None, (time.perf_counter() - t0) * 1000.0))
+        return attempts
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, instances))
-    return [one(x0) for x0 in instances]
+    # Inline for one worker: a pool's exit would make Ctrl-C wait out every queued task.
+    if workers == 1:
+        return [attempt for instance in instances for attempt in one(instance)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [attempt for attempts in pool.map(one, instances) for attempt in attempts]
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def _cmd_describe(args) -> int:
-    data = _load(args)
+    data = load_dataset(args.schema, args.data)
     stats = fit_stats(data)
     print(f"rows: {len(data)}, features: {data.n_features}")
     if data.labels is not None:
         ones = sum(data.labels)
         print(f"labels: class 0 = {len(data) - ones}, class 1 = {ones}")
-    if not stats:
-        return 0
     name_width = max(len(s.name) for s in stats)
     for s in stats:
         if s.kind is FeatureKind.NUMERICAL:
@@ -323,11 +340,10 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_train_ae(args) -> int:
-    data = _load(args)
+    data = load_dataset(args.schema, args.data)
     stats = fit_stats(data)
     ae = train_autoencoder(data, AEConfig(seed=args.seed), stats)
-    out = _ensure_out(args)
-    path = out / "autoencoder.json"
+    path = _ensure_out(args) / "autoencoder.json"
     save_ae(ae, path)
     print(f"wrote {path} (final training loss {ae.loss_history[-1]:.6g})")
     return 0
@@ -335,7 +351,10 @@ def _cmd_train_ae(args) -> int:
 
 @contextmanager
 def _search_context(args, data: Dataset, spec: str) -> Iterator[SearchContext]:
-    """A search context over ``data``; its model is closed when the block exits."""
+    """A search context over ``data``; its model is closed when the block exits.
+
+    ``compute_metrics`` never calls the model, so it may run on the context after.
+    """
     stats = fit_stats(data)
     weights = _load_weights(args, stats)
     with closing(_build_model(spec, stats, data)) as model:
@@ -344,89 +363,66 @@ def _search_context(args, data: Dataset, spec: str) -> Iterator[SearchContext]:
 
 
 def _cmd_explain(args) -> int:
-    data = _load(args)
-    if data.labels is None:
-        raise ConfigError("explaining requires a labeled dataset")
-    spec = _single_model_spec(args)
-    with _search_context(args, data, spec) as ctx:
-        kind = RewardKind(args.variant)
-        names = [s.name for s in data.schema]
-        if args.index is not None:
-            if not 0 <= args.index < len(data):
-                raise ConfigError(f"--index {args.index} outside 0..{len(data) - 1}")
-            rows = [(args.index, data.rows[args.index])]
-        else:
-            rows = list(enumerate(data.rows))[: args.max_instances]
-        ctx.warm()
-        results = _run_instances(
-            [r for _, r in rows], [f"nice-{kind.value}"], ctx, args.workers
-        )
-        docs = []
-        for (row_index, _), per_instance in zip(rows, results):
-            eid, expl, elapsed = per_instance[0]
-            if expl is None:
-                docs.append(
-                    {"explainer": eid, "row": row_index, "valid": False,
-                     "error": "no unlike neighbor", "elapsed_ms": elapsed}
-                )
-                continue
-            rec = compute_metrics(expl, ctx, row_index)
-            doc = explanation_to_dict(
-                expl, names,
-                {"sparsity": rec.sparsity, "proximity": rec.proximity,
-                 "ae_error": rec.ae_error, "knn5": rec.knn5},
-            )
-            doc["row"] = row_index
-            docs.append(doc)
-    payload = docs[0] if args.index is not None else docs
-    text = json.dumps(payload, indent=2)
-    out = _ensure_out(args)
-    if out is None:
-        print(text)
+    data = _labeled(args)
+    if args.index is None:
+        rows = list(enumerate(data.rows))[: args.max_instances]
+    elif 0 <= args.index < len(data):
+        rows = [(args.index, data.rows[args.index])]
     else:
-        path = out / "explanations.json"
-        path.write_text(text + "\n")
-        print(f"wrote {path}")
+        raise ConfigError(f"--index {args.index} outside 0..{len(data) - 1}")
+    with _search_context(args, data, _single_model_spec(args)) as ctx:
+        attempts = _run_instances(rows, [f"nice-{args.variant}"], ctx, args.workers)
+    names = [s.name for s in data.schema]
+    docs = []
+    for row_index, eid, expl, elapsed in attempts:
+        if expl is None:
+            docs.append(
+                {"explainer": eid, "row": row_index, "valid": False,
+                 "error": "no unlike neighbor", "elapsed_ms": elapsed}
+            )
+            continue
+        rec = compute_metrics(expl, ctx, row_index)
+        doc = explanation_to_dict(
+            expl, names,
+            {"sparsity": rec.sparsity, "proximity": rec.proximity,
+             "ae_error": rec.ae_error, "knn5": rec.knn5},
+        )
+        doc["row"] = row_index
+        docs.append(doc)
+    _emit(args, "explanations.json", docs[0] if args.index is not None else docs)
     return 0
 
 
-def _benchmark_records(args, spec: str) -> tuple[list[MetricRecord], SearchContext, list]:
-    """Explain the test split; the returned context's model is already closed."""
-    data = _load(args)
-    if data.labels is None:
-        raise ConfigError("benchmarking requires a labeled dataset")
-    train, test = split(data, args.test_fraction, args.seed)
+def _explain_test_split(
+    args, spec: str, explainer_ids: Sequence[str]
+) -> tuple[SearchContext, list[Attempt]]:
+    """Explain the test split; the returned context's model is already closed.
+
+    Only ``benchmark`` makes metric records from the attempts; ``robustness`` makes none.
+    """
+    train, test = split(_labeled(args), args.test_fraction, args.seed)
+    instances = list(enumerate(test.rows))[: args.max_instances]
+    log.info("explaining %d instances with %s", len(instances), explainer_ids)
     with _search_context(args, train, spec) as ctx:
-        explainer_ids = _parse_explainers(args.explainers)
-        ctx.warm(include_case_base="cbr" in explainer_ids)
-        instances = list(test.rows)[: args.max_instances]
-        log.info("benchmarking %d instances with %s", len(instances), explainer_ids)
-        results = _run_instances(instances, explainer_ids, ctx, args.workers)
-        records: list[MetricRecord] = []
-        expls: list[tuple[int, str, Explanation | None]] = []
-        for iid, per_instance in enumerate(results):
-            for eid, expl, elapsed in per_instance:
-                expls.append((iid, eid, expl))
-                if expl is None:
-                    records.append(MetricRecord(iid, eid, False, elapsed))
-                else:
-                    records.append(compute_metrics(expl, ctx, iid))
-    return records, ctx, expls
+        return ctx, _run_instances(instances, explainer_ids, ctx, args.workers)
 
 
 def _cmd_benchmark(args) -> int:
     spec = _single_model_spec(args)
-    records, _, _ = _benchmark_records(args, spec)
+    ctx, attempts = _explain_test_split(args, spec, _parse_explainers(args.explainers))
+    records = [
+        MetricRecord(iid, eid, False, elapsed) if expl is None
+        else compute_metrics(expl, ctx, iid)
+        for iid, eid, expl, elapsed in attempts
+    ]
     out = _ensure_out(args)
     write_records_csv(records, out / "records.csv")
     write_timings_csv(records, out / "timings.csv")
     summary = summarize_records(records)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out / "report.txt").write_text(render_report(summary))
-    print(f"wrote {out / 'records.csv'}")
-    print(f"wrote {out / 'timings.csv'}")
-    print(f"wrote {out / 'summary.json'}")
-    print(f"wrote {out / 'report.txt'}")
+    for name in ("records.csv", "timings.csv", "summary.json", "report.txt"):
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -434,28 +430,19 @@ def _cmd_robustness(args) -> int:
     specs = args.model
     if len(specs) != 2:
         raise _UsageError("robustness needs exactly two --model specs")
-    _, ctx, expls = _benchmark_records(args, specs[0])
     explainer_ids = _parse_explainers(args.explainers)
+    ctx, attempts = _explain_test_split(args, specs[0], explainer_ids)
     fractions: dict[str, float | None] = {}
     with closing(_build_model(specs[1], ctx.stats, ctx.train)) as other:
         for eid in explainer_ids:
-            mine = [e for _, other_eid, e in expls if other_eid == eid and e is not None]
-            valid = [e for e in mine if e.valid]
-            fractions[eid] = cross_model_robustness(mine, other) if valid else None
-    payload = {
+            valid = [e for _, e_id, e, _ in attempts if e_id == eid and e is not None and e.valid]
+            fractions[eid] = cross_model_robustness(valid, other) if valid else None
+    _emit(args, "robustness.json", {
         "model": specs[0],
         "against": specs[1],
-        "instances": len({iid for iid, _, _ in expls}),
+        "instances": len({iid for iid, _, _, _ in attempts}),
         "robustness": fractions,
-    }
-    text = json.dumps(payload, indent=2)
-    out = _ensure_out(args)
-    if out is None:
-        print(text)
-    else:
-        path = out / "robustness.json"
-        path.write_text(text + "\n")
-        print(f"wrote {path}")
+    })
     return 0
 
 

@@ -172,14 +172,14 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
     """Parse a schema JSON file into feature specs plus the label column name.
 
     Format: ``{"features": [{"name": ..., "kind": "categorical"|"numerical",
-    "categories": [...]?}, ...], "label": str|null}``.
+    "categories": [...]?}, ...], "label": str|null}``, with at least one feature.
     """
     try:
         doc = json.loads(Path(schema_file).read_text())
     except json.JSONDecodeError as exc:
         raise IngestError(f"schema file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("features"), list):
-        raise IngestError("schema file must be an object with a 'features' list")
+    if not isinstance(doc, dict) or not isinstance(doc.get("features"), list) or not doc["features"]:
+        raise IngestError("schema file must be an object with a non-empty 'features' list")
     specs = []
     for entry in doc["features"]:
         if not isinstance(entry, dict):
@@ -204,8 +204,8 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
     """Read a header-first CSV validated against a schema file.
 
     The CSV header must list the schema's feature names in order, followed by
-    the label column when the schema declares one. Empty cells are rejected;
-    labels must be 0 or 1. Row order is preserved.
+    the label column when the schema declares one, and at least one data row.
+    Empty cells are rejected; labels must be 0 or 1. Row order is preserved.
     """
     specs, label_name = load_schema(schema_file)
     expected_header = [s.name for s in specs] + ([label_name] if label_name else [])
@@ -261,6 +261,8 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
                     )
                 labels.append(label)
             rows.append(tuple(values))
+    if not rows:
+        raise IngestError("CSV file has a header but no data rows")
     return Dataset(specs, rows, labels)
 
 
@@ -300,49 +302,6 @@ def fit_stats(train: Dataset) -> list[FeatureStats]:
             stats.append(
                 FeatureStats(name=spec.name, kind=spec.kind, categories=categories, mode=mode)
             )
-    return stats
-
-
-def stats_to_dicts(stats: Sequence[FeatureStats]) -> list[dict]:
-    """JSON-ready form of fitted statistics (inverse of :func:`stats_from_dicts`)."""
-    out = []
-    for s in stats:
-        if s.kind is FeatureKind.NUMERICAL:
-            out.append(
-                {"name": s.name, "kind": s.kind.value, "min": s.min, "max": s.max,
-                 "mean": s.mean, "std": s.std}
-            )
-        else:
-            out.append(
-                {"name": s.name, "kind": s.kind.value,
-                 "categories": list(s.categories), "mode": s.mode}
-            )
-    return out
-
-
-def stats_from_dicts(docs: Sequence[dict]) -> list[FeatureStats]:
-    """Rebuild statistics from their JSON form; invariants are re-validated."""
-    stats = []
-    for doc in docs:
-        try:
-            kind = FeatureKind(doc["kind"])
-            if kind is FeatureKind.NUMERICAL:
-                lo, hi = float(doc["min"]), float(doc["max"])
-                stats.append(
-                    FeatureStats(
-                        name=doc["name"], kind=kind, min=lo, max=hi, range=hi - lo,
-                        mean=float(doc["mean"]), std=float(doc["std"]),
-                    )
-                )
-            else:
-                stats.append(
-                    FeatureStats(
-                        name=doc["name"], kind=kind,
-                        categories=tuple(doc["categories"]), mode=doc["mode"],
-                    )
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StatsError(f"malformed statistics entry {doc!r}: {exc}") from exc
     return stats
 
 

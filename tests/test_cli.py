@@ -1,7 +1,9 @@
+import ast
 import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -113,6 +115,43 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# Every command that loads data, with the arguments it needs besides --schema/--data.
+LOADING_COMMANDS = {
+    "describe": [],
+    "train-ae": ["--out", "{out}"],
+    "explain": ["--model", "builtin:logistic", "--out", "{out}"],
+    "benchmark": ["--model", "builtin:logistic", "--out", "{out}"],
+    "robustness": ["--model", "builtin:logistic", "--model", "builtin:logistic",
+                   "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+class TestEmptyInputs:
+    """A data set without features or without rows is an input error (exit 1)."""
+
+    def run(self, command, schema_doc, csv_text, tmp_path):
+        (tmp_path / "schema.json").write_text(json.dumps(schema_doc))
+        (tmp_path / "data.csv").write_text(csv_text)
+        extra = [a.format(out=tmp_path / "out") for a in LOADING_COMMANDS[command]]
+        return run_command([command, "--schema", str(tmp_path / "schema.json"),
+                            "--data", str(tmp_path / "data.csv"), *extra])
+
+    def test_empty_feature_list(self, command, tmp_path, capsys):
+        code = self.run(command, {"features": [], "label": "label"},
+                        "label\n0\n1\n0\n1\n", tmp_path)
+        assert code == 1
+        assert "non-empty 'features' list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_header_only_csv(self, command, tmp_path, capsys):
+        schema = {"features": [{"name": "num0", "kind": "numerical"}], "label": "label"}
+        code = self.run(command, schema, "num0,label\n", tmp_path)
+        assert code == 1
+        assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def test_train_subcommand_removed(self, data_files, tmp_path, capsys):
         code = run_command(
@@ -152,6 +191,18 @@ class TestExplain:
              "--index", "80"]
         )
         assert code == 1
+
+    def test_index_checked_before_fitting(self, data_files, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("autoencoder trained for an out-of-range --index")
+
+        monkeypatch.setattr(nicecf.cli, "train_autoencoder", fail)
+        code = run_command(
+            ["explain", *common(data_files), "--model", "builtin:logistic",
+             "--index", "100000"]
+        )
+        assert code == 1
+        assert "--index 100000 outside 0..79" in capsys.readouterr().err
 
     def test_batch_to_file_with_cap(self, data_files, tmp_path, capsys):
         code = run_command(
@@ -274,6 +325,13 @@ class TestBenchmark:
         for name in ("records.csv", "summary.json", "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_workers_do_not_change_artifacts(self, data_files, tmp_path, capsys):
+        out1, out3 = tmp_path / "w1", tmp_path / "w3"
+        assert self.run_benchmark(data_files, out1, "--workers", "1") == 0
+        assert self.run_benchmark(data_files, out3, "--workers", "3") == 0
+        for name in ("records.csv", "summary.json", "report.txt"):
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
     def test_explainer_subset(self, data_files, tmp_path, capsys):
         code = self.run_benchmark(
             data_files, tmp_path, "--explainers", "nice-spars,wit", "--max-instances", "6"
@@ -304,6 +362,19 @@ class TestRobustness:
         assert set(doc["robustness"]) == {"nice-spars", "wit"}
         for value in doc["robustness"].values():
             assert value is None or 0.0 <= value <= 1.0
+
+    def test_builds_no_metric_records(self, data_files, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("robustness computed metrics")
+
+        monkeypatch.setattr(nicecf.cli, "compute_metrics", fail)
+        code = run_command(
+            ["robustness", *common(data_files), "--model", "builtin:logistic",
+             "--model", "builtin:knn:5", "--explainers", "nice-spars,wit",
+             "--max-instances", "4"]
+        )
+        assert code == 0
+        assert set(json.loads(capsys.readouterr().out)["robustness"]) == {"nice-spars", "wit"}
 
     def test_single_model_rejected(self, data_files, capsys):
         code = run_command(
@@ -383,16 +454,44 @@ class TestExternalModelClosed:
         assert [w.returncode is not None for w in workers] == [True] * expected
 
 
-def _declared_script(name):
-    """The ``module``, ``attr`` pair that ``[project.scripts]`` names for ``name``."""
+def _project():
+    """The ``[project]`` table of ``pyproject.toml``."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"][name]
-    module, _, attr = target.partition(":")
+        return tomllib.load(fh)["project"]
+
+
+def _declared_script(name):
+    """The ``module``, ``attr`` pair that ``[project.scripts]`` names for ``name``."""
+    module, _, attr = _project()["scripts"][name].partition(":")
     return module.strip(), attr.strip()
+
+
+def test_every_test_import_is_declared():
+    # `pip install -e ".[test]"` must give the suite every module it imports.
+    project = _project()
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    tests_dir = Path(__file__).resolve().parent
+    local = {path.stem for path in tests_dir.glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"nicecf"} | local | declared
+    undeclared = {}
+    for path in sorted(tests_dir.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] not in allowed:
+                    undeclared.setdefault(path.name, []).append(module)
+    assert undeclared == {}
 
 
 def test_console_entry_point(data_files, tmp_path):

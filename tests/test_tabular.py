@@ -17,8 +17,6 @@ from nicecf.tabular import (
     fit_stats,
     load_dataset,
     split,
-    stats_from_dicts,
-    stats_to_dicts,
 )
 from strategies import mixed_tables
 
@@ -173,10 +171,6 @@ class TestFitStats:
         with pytest.raises(StatsError):
             FeatureStats(name="c", kind=FeatureKind.CATEGORICAL,
                          categories=("a",), mode="b")
-
-    def test_round_trip_through_dicts(self, tiny_stats):
-        rebuilt = stats_from_dicts(stats_to_dicts(tiny_stats))
-        assert rebuilt == list(tiny_stats)
 
 
 class TestSplit:
