@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -27,7 +26,8 @@ from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .errors import ConfigError, EngineError, IngestError, NoUnlikeNeighborError
+from .distance import check_weights
+from .errors import ConfigError, DistanceError, EngineError, IngestError, NoUnlikeNeighborError
 from .evaluation import (
     MetricRecord,
     compute_metrics,
@@ -197,7 +197,7 @@ def _labeled(args) -> Dataset:
     return data
 
 
-def _load_weights(args, stats) -> list[float] | None:
+def _load_weights(args, stats) -> tuple[float, ...] | None:
     if not getattr(args, "weights", None):
         return None
     try:
@@ -210,14 +210,10 @@ def _load_weights(args, stats) -> list[float] | None:
     unknown = set(doc) - names
     if unknown:
         raise ConfigError(f"weights for unknown features: {sorted(unknown)}")
-    bad = {k: v for k, v in doc.items()
-           if isinstance(v, bool) or not isinstance(v, (int, float))}
-    if bad:
-        raise ConfigError(f"weights must be numbers, got {bad}")
-    bad = {k: v for k, v in doc.items() if not 0.0 < v < math.inf}
-    if bad:
-        raise ConfigError(f"weights must be positive and finite, got {bad}")
-    return [float(doc.get(s.name, 1.0)) for s in stats]
+    try:
+        return check_weights(stats, [doc.get(s.name, 1.0) for s in stats])
+    except DistanceError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _single_model_spec(args) -> str:

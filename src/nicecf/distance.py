@@ -13,6 +13,7 @@ order so their sums are bit-identical to the scalar path.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,14 +23,14 @@ from .tabular import Dataset, FeatureKind, FeatureStats, Instance
 
 
 def check_weights(stats: Sequence[FeatureStats], weights: Sequence[float] | None) -> tuple[float, ...]:
-    """Validate a weight vector (positive finite, one per feature); None means all ones."""
+    """Check one positive finite int or float (not a bool) per feature; None means all ones."""
     if weights is None:
         return (1.0,) * len(stats)
     if len(weights) != len(stats):
         raise DistanceError(f"{len(weights)} weights for {len(stats)} features")
-    for w in weights:
-        if not (w > 0.0) or not np.isfinite(w):
-            raise DistanceError(f"weights must be positive and finite, got {w}")
+    for stat, w in zip(stats, weights):
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0.0 < w < math.inf:
+            raise DistanceError(f"weight for '{stat.name}' must be positive and finite, got {w!r}")
     return tuple(float(w) for w in weights)
 
 

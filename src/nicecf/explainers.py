@@ -28,13 +28,12 @@ reward run toward the training mean/mode instance instead of a training
 row, and so has no flip guarantee; and a case-based explainer reusing
 pairs of training rows that differ in at most two features (cbr).
 
-Every explainer first rejects a source holding a NaN or infinite number
-with :class:`EncodeError`.
+Every explainer first holds the source to the row rule of :class:`Dataset`,
+and raises :class:`EncodeError` for a source that breaks it, whatever the model.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from .distance import (
 from .errors import ConfigError, EncodeError, NoUnlikeNeighborError
 from .model import ClassifierHandle
 from .plausibility import PlausibilityScorer, score_swaps
-from .tabular import Dataset, FeatureKind, FeatureStats, Instance
+from .tabular import Dataset, FeatureKind, FeatureStats, Instance, _row_problem
 
 
 class RewardKind(Enum):
@@ -251,10 +250,9 @@ def reward(
 
 
 def _check_source(x0: Instance, ctx: SearchContext) -> None:
-    """Reject a NaN or infinite number in ``x0`` before any model or distance sees it."""
-    for stat, value in zip(ctx.stats, x0):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise EncodeError(f"non-finite value {value} for '{stat.name}'")
+    """Hold ``x0`` to the training schema's row rule before any model or distance sees it."""
+    if problem := _row_problem(ctx.train.schema, x0):
+        raise EncodeError(problem[0])
 
 
 def _explanation(

@@ -37,7 +37,7 @@ from scipy.special import expit
 # heom_to_rows is unused here but stays importable from this module:
 # bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
 from .distance import _weighted_scan, check_weights, heom_to_rows, k_smallest  # noqa: F401
-from .errors import ConfigError, DistanceError, ModelIOError, TrainError
+from .errors import ConfigError, DistanceError, EncodeError, ModelIOError, TrainError
 from .tabular import (
     Dataset,
     FeatureStats,
@@ -212,7 +212,11 @@ def train_knn_classifier(
 
 def _json_safe(x: Instance) -> list:
     # Adding 0.0 sends -0.0 as 0.0: the search and HEOM treat the two as one value.
-    return [v if isinstance(v, str) else float(v) + 0.0 for v in x]
+    out = [v if isinstance(v, str) else float(v) + 0.0 for v in x]
+    # JSON has no NaN or Infinity; json.dumps would write them anyway.
+    if any(not isinstance(v, str) and not math.isfinite(v) for v in out):
+        raise EncodeError(f"external models take finite numbers only, got {x!r}")
+    return out
 
 
 def _parse_scores(text: str, expected: int, origin: str) -> np.ndarray:
@@ -330,11 +334,11 @@ class ExternalHandle(ClassifierHandle):
         self.batch_size = batch_size
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
+        instances = [_json_safe(x) for x in xs]  # every row checked before any request
         chunks = []
         for start in range(0, len(xs), self.batch_size):
-            part = xs[start : start + self.batch_size]
-            payload = {"instances": [_json_safe(x) for x in part]}
-            chunks.append(self.transport.request(payload, len(part)))
+            part = instances[start : start + self.batch_size]
+            chunks.append(self.transport.request({"instances": part}, len(part)))
         if not chunks:
             return np.empty(0, dtype=np.float64)
         return np.concatenate(chunks)

@@ -82,7 +82,9 @@ class FeatureStats:
 class Dataset:
     """Immutable collection of validated rows plus optional binary labels.
 
-    Rows are stored as tuples in ingestion order. Numpy views of the columns
+    A row that breaks the schema (see :func:`_row_problem`) or a label other
+    than 0 or 1 raises :class:`IngestError` with its row index. Rows are
+    stored as tuples in ingestion order. Numpy views of the columns
     and labels are built lazily for vectorized scans and shared by all readers;
     the object is safe to share across threads once constructed.
     """
@@ -99,7 +101,11 @@ class Dataset:
         if self.labels is not None and len(self.labels) != len(self.rows):
             raise IngestError("labels and rows have different lengths")
         for i, row in enumerate(self.rows):
-            _check_row(self.schema, row, row_index=i)
+            if problem := _row_problem(self.schema, row):
+                raise IngestError(problem[0], row=i, column=problem[1])
+        for i, label in enumerate(self.labels or ()):
+            if isinstance(label, bool) or label not in (0, 1):
+                raise IngestError(f"label must be 0 or 1, got {label!r}", row=i)
         self._columns: list | None = None
         self._label_array: np.ndarray | None = None
 
@@ -138,34 +144,26 @@ class Dataset:
         return self._label_array
 
 
-def _check_row(schema: Sequence[FeatureSpec], row: Instance, row_index: int | None = None) -> None:
+def _row_problem(schema: Sequence[FeatureSpec], row: Instance) -> tuple[str, str | None] | None:
+    """The first way ``row`` breaks ``schema`` as (message, feature name), or None.
+
+    A row holds one value per feature. A numerical value is a finite int or
+    float, not a bool; a categorical value is a str, and one of the declared
+    categories when the schema declares them.
+    """
     if len(row) != len(schema):
-        raise IngestError(
-            f"row has {len(row)} values, schema has {len(schema)}", row=row_index
-        )
+        return f"row has {len(row)} values, schema has {len(schema)}", None
     for spec, value in zip(schema, row):
         if spec.kind is FeatureKind.NUMERICAL:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise IngestError(
-                    f"expected a number for '{spec.name}'", row=row_index, column=spec.name
-                )
+                return f"expected a number for '{spec.name}'", spec.name
             if not math.isfinite(value):
-                raise IngestError(
-                    f"non-finite value for '{spec.name}'", row=row_index, column=spec.name
-                )
-        else:
-            if not isinstance(value, str):
-                raise IngestError(
-                    f"expected a category label for '{spec.name}'",
-                    row=row_index,
-                    column=spec.name,
-                )
-            if spec.categories is not None and value not in spec.categories:
-                raise IngestError(
-                    f"unknown category '{value}' for '{spec.name}'",
-                    row=row_index,
-                    column=spec.name,
-                )
+                return f"non-finite value {value} for '{spec.name}'", spec.name
+        elif not isinstance(value, str):
+            return f"expected a category label for '{spec.name}'", spec.name
+        elif spec.categories is not None and value not in spec.categories:
+            return f"unknown category '{value}' for '{spec.name}'", spec.name
+    return None
 
 
 def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]:
@@ -173,6 +171,7 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
 
     Format: ``{"features": [{"name": ..., "kind": "categorical"|"numerical",
     "categories": [...]?}, ...], "label": str|null}``, with at least one feature.
+    Feature names and the label name must all differ.
     """
     try:
         doc = json.loads(Path(schema_file).read_text())
@@ -187,7 +186,7 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
         name = entry.get("name")
         kind = entry.get("kind")
         declared = entry.get("categories")
-        if not name or kind not in ("categorical", "numerical") or not (
+        if not isinstance(name, str) or not name or kind not in ("categorical", "numerical") or not (
             declared is None
             or isinstance(declared, list) and all(isinstance(c, str) for c in declared)
         ):
@@ -197,6 +196,10 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise IngestError("schema 'label' must be a string or null")
+    names = [s.name for s in specs] + ([label] if label is not None else [])
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise IngestError(f"schema repeats the names {repeated}")
     return specs, label
 
 
@@ -205,7 +208,10 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
 
     The CSV header must list the schema's feature names in order, followed by
     the label column when the schema declares one, and at least one data row.
-    Empty cells are rejected; labels must be 0 or 1. Row order is preserved.
+    Only cells are parsed here: an empty cell, a numerical cell that is not a
+    number and a label that is not an integer are rejected. :class:`Dataset`
+    then checks each value against the schema and each label against 0/1,
+    reporting the same row index. Row order is preserved.
     """
     specs, label_name = load_schema(schema_file)
     expected_header = [s.name for s in specs] + ([label_name] if label_name else [])
@@ -231,35 +237,22 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
                 cell = cell.strip()
                 if cell == "":
                     raise IngestError("missing value", row=i, column=spec.name)
-                if spec.kind is FeatureKind.NUMERICAL:
-                    try:
-                        number = float(cell)
-                    except ValueError:
-                        raise IngestError(
-                            f"'{cell}' is not a number", row=i, column=spec.name
-                        ) from None
-                    if not math.isfinite(number):
-                        raise IngestError("non-finite value", row=i, column=spec.name)
-                    values.append(number)
-                else:
-                    if spec.categories is not None and cell not in spec.categories:
-                        raise IngestError(
-                            f"unknown category '{cell}'", row=i, column=spec.name
-                        )
-                    values.append(cell)
+                try:
+                    values.append(float(cell) if spec.kind is FeatureKind.NUMERICAL else cell)
+                except ValueError:
+                    raise IngestError(
+                        f"'{cell}' is not a number", row=i, column=spec.name
+                    ) from None
             if labels is not None:
                 cell = cells[-1].strip()
                 if cell == "":
                     raise IngestError("missing value", row=i, column=label_name)
                 try:
-                    label = int(cell)
+                    labels.append(int(cell))
                 except ValueError:
-                    label = -1
-                if label not in (0, 1):
                     raise IngestError(
                         f"label must be 0 or 1, got '{cell}'", row=i, column=label_name
-                    )
-                labels.append(label)
+                    ) from None
             rows.append(tuple(values))
     if not rows:
         raise IngestError("CSV file has a header but no data rows")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicecf.distance import (
+    check_weights,
     heom,
     heom_feature,
     heom_to_rows,
@@ -69,6 +70,11 @@ class TestHeom:
             heom(tiny_stats, x, x, weights=[0.0, 1.0])
         with pytest.raises(DistanceError):
             heom(tiny_stats, x, x, weights=[-1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", ["a", None, True, float("nan"), float("inf")])
+    def test_non_number_weights(self, tiny_stats, bad):
+        with pytest.raises(DistanceError, match="positive and finite"):
+            check_weights(tiny_stats, [1.0, bad])
 
 
 class TestHeomToRows:

@@ -404,6 +404,30 @@ def test_non_finite_source_rejected(quantized_dataset, train, bad, explain):
     assert explain(x0, ctx).source == x0
 
 
+# Each bad source breaks the schema's row rule in one way; quantized_dataset
+# has numerical num0, num1 and categorical cat0..cat2 declared as a, b.
+BAD_SOURCES = {
+    "one-short": lambda x0: x0[:-1],
+    "str-in-numerical": lambda x0: ("a",) + x0[1:],
+    "bool-in-numerical": lambda x0: (True,) + x0[1:],
+    "number-in-categorical": lambda x0: x0[:2] + (1.0,) + x0[3:],
+    "undeclared-category": lambda x0: x0[:2] + ("z",) + x0[3:],
+}
+
+
+@pytest.mark.parametrize("train", [train_logistic, train_knn3], ids=["logistic", "knn3"])
+@pytest.mark.parametrize("bad", list(BAD_SOURCES.values()), ids=list(BAD_SOURCES))
+@pytest.mark.parametrize("explain", [
+    lambda x0, ctx: explain_nice(x0, RewardKind.SPARSITY, ctx),
+    explain_wit, explain_sedc, explain_cbr,
+], ids=["nice-spars", "wit", "sedc", "cbr"])
+def test_source_breaking_schema_rejected(quantized_dataset, train, bad, explain):
+    stats = fit_stats(quantized_dataset)
+    ctx = SearchContext(quantized_dataset, stats, train(stats, quantized_dataset))
+    with pytest.raises(EncodeError):
+        explain(bad(quantized_dataset.rows[0]), ctx)
+
+
 class TestWit:
     def test_ignores_correctness_filter(self, scripted_model_cls):
         train = Dataset(

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from nicecf.errors import ConfigError, ModelIOError
+from nicecf.errors import ConfigError, EncodeError, ModelIOError
 from nicecf.model import ExternalHandle, external_model
 
 # Worker that scores an instance as 1/(1+sum of numeric values), clamped.
@@ -23,6 +23,17 @@ for line in sys.stdin:
         total = sum(v for v in inst if isinstance(v, (int, float)))
         scores.append(max(0.0, min(1.0, 1.0 / (1.0 + abs(total)))))
     print(json.dumps({"scores": scores}), flush=True)
+"""
+
+
+# Worker that scores every instance of its n-th request as n/10, capped at 1.
+COUNTER = r"""
+import json, sys
+calls = 0
+for line in sys.stdin:
+    req = json.loads(line)
+    calls += 1
+    print(json.dumps({"scores": [min(1.0, calls / 10.0)] * len(req["instances"])}), flush=True)
 """
 
 
@@ -40,19 +51,23 @@ class TestSubprocess:
             handle.close()
 
     def test_batching_splits_requests(self):
-        counter = r"""
-import json, sys
-calls = 0
-for line in sys.stdin:
-    req = json.loads(line)
-    calls += 1
-    print(json.dumps({"scores": [min(1.0, calls / 10.0)] * len(req["instances"])}), flush=True)
-"""
-        handle = external_model(worker_spec(counter), batch_size=2)
+        handle = external_model(worker_spec(COUNTER), batch_size=2)
         try:
             scores = handle.score_batch([(float(i),) for i in range(5)])
             # 5 instances at batch_size 2 -> 3 requests; per-request constant score.
             assert scores.tolist() == [0.1, 0.1, 0.2, 0.2, 0.3]
+        finally:
+            handle.close()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_never_sent(self, bad):
+        handle = external_model(worker_spec(COUNTER), batch_size=1)
+        try:
+            with pytest.raises(EncodeError):
+                handle.score((bad, "a"))
+            with pytest.raises(EncodeError):
+                handle.score_batch([(1.0, "a"), (bad, "a")])
+            assert handle.score((1.0, "a")) == 0.1  # the worker's first request
         finally:
             handle.close()
 

@@ -73,8 +73,9 @@ class TestLoadDataset:
         schema, data = write_pair(
             tmp_path, BASIC_SCHEMA, "age,color,label\nnan,red,0\n"
         )
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError) as err:
             load_dataset(schema, data)
+        assert (err.value.row, err.value.column) == (0, "age")
 
     def test_missing_cell_rejected(self, tmp_path):
         schema, data = write_pair(
@@ -100,7 +101,29 @@ class TestLoadDataset:
             "label": "label",
         }
         schema, data = write_pair(tmp_path, doc, "age,color,label\n30,green,0\n")
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError) as err:
+            load_dataset(schema, data)
+        assert (err.value.row, err.value.column) == (0, "color")
+
+    def test_repeated_feature_name_rejected(self, tmp_path):
+        doc = {"features": [{"name": "a", "kind": "numerical"},
+                            {"name": "a", "kind": "categorical"}], "label": "y"}
+        schema, data = write_pair(tmp_path, doc, "a,a,y\n1,b,0\n")
+        with pytest.raises(IngestError, match="'a'"):
+            load_dataset(schema, data)
+
+    @pytest.mark.parametrize("name", [5, ["a"]])
+    def test_non_string_feature_name_rejected(self, tmp_path, name):
+        doc = {"features": [{"name": name, "kind": "numerical"}], "label": None}
+        schema, data = write_pair(tmp_path, doc, "a\n1\n")
+        with pytest.raises(IngestError, match="bad feature entry"):
+            load_dataset(schema, data)
+
+    def test_label_reusing_feature_name_rejected(self, tmp_path):
+        doc = {"features": [{"name": "a", "kind": "numerical"},
+                            {"name": "b", "kind": "numerical"}], "label": "a"}
+        schema, data = write_pair(tmp_path, doc, "a,b,a\n1,2,0\n")
+        with pytest.raises(IngestError, match="'a'"):
             load_dataset(schema, data)
 
     def test_malformed_schema_json(self, tmp_path):
@@ -266,6 +289,13 @@ class TestDataset:
         schema = [FeatureSpec("x", FeatureKind.NUMERICAL)]
         with pytest.raises(IngestError):
             Dataset(schema, [("not a number",)])
+
+    @pytest.mark.parametrize("bad", [2, -1, True])
+    def test_label_outside_zero_one_rejected(self, bad):
+        schema = [FeatureSpec("x", FeatureKind.NUMERICAL)]
+        with pytest.raises(IngestError) as err:
+            Dataset(schema, [(1.0,), (2.0,), (3.0,)], labels=[0, bad, 1])
+        assert err.value.row == 1
 
     def test_label_length_mismatch(self):
         schema = [FeatureSpec("x", FeatureKind.NUMERICAL)]
