@@ -21,13 +21,13 @@ class IngestError(EngineError):
 
     ``row`` is the 0-based data row (header excluded), ``column`` the feature
     name; either may be None when the problem is structural (header mismatch).
+    The message names only the parts that are known.
     """
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
-        location = ""
-        if row is not None or column is not None:
-            location = f" (row={row}, column={column})"
-        super().__init__(message + location)
+        known = [f"{name}={value!r}" for name, value in (("row", row), ("column", column))
+                 if value is not None]
+        super().__init__(message + (f" ({', '.join(known)})" if known else ""))
         self.row = row
         self.column = column
 

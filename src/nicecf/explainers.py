@@ -51,7 +51,7 @@ from .distance import (
 )
 from .errors import ConfigError, EncodeError, NoUnlikeNeighborError
 from .model import ClassifierHandle
-from .plausibility import PlausibilityScorer, score_swaps
+from .plausibility import PlausibilityScorer, swap_state
 from .tabular import Dataset, FeatureKind, FeatureStats, Instance, _row_problem
 
 
@@ -291,11 +291,12 @@ def _greedy_toward(
 ) -> tuple[Instance, tuple[TraceStep, ...], bool]:
     """Copy ``target`` values into ``x0`` one feature per iteration until the class flips.
 
-    ``p0`` is the model's score of ``x0``. Each iteration scores one
-    candidate per feature still differing from the target, in one
-    ``score_swaps`` call to the model (and one to the scorer for the
-    plausibility reward), and keeps the reward argmax (ties to the smallest
-    feature index). The search stops at the first flip, when nothing is left
+    ``p0`` is the model's score of ``x0``. The search keeps one swap state
+    of the model (and one of the scorer for the plausibility reward) from
+    ``x0`` toward ``target``. Each iteration scores one candidate per feature
+    still differing from the target, in one ``scores`` call to each state,
+    keeps the reward argmax (ties to the smallest feature index) and
+    ``take``s it. The search stops at the first flip, when nothing is left
     to copy, or after ``max_iters`` iterations. Returns (counterfactual,
     trace, valid), where valid means the class flipped.
     """
@@ -303,15 +304,19 @@ def _greedy_toward(
     y_hat = 1 if c0 == 1 else -1
     current = list(x0)
     p_prev = p0
-    ae_prev = ctx.scorer(x0) if kind is RewardKind.PLAUSIBILITY else None
+    model_state = ctx.model.swap_state(x0, target)
+    ae_prev = scorer_state = None
+    if kind is RewardKind.PLAUSIBILITY:
+        ae_prev = ctx.scorer(x0)
+        scorer_state = swap_state(ctx.scorer, x0, target)
     steps: list[TraceStep] = []
     while max_iters is None or len(steps) < max_iters:
         remaining = [j for j in range(len(current)) if current[j] != target[j]]
         if not remaining:
             break
-        p_cands = ctx.model.score_swaps(current, target, remaining)
-        if kind is RewardKind.PLAUSIBILITY:
-            ae_cands = score_swaps(ctx.scorer, current, target, remaining)
+        p_cands = model_state.scores(remaining)
+        if scorer_state is not None:
+            ae_cands = scorer_state.scores(remaining)
         else:
             ae_cands = [None] * len(remaining)
         best = 0
@@ -327,6 +332,9 @@ def _greedy_toward(
         p_prev = float(p_cands[best])
         ae_prev = ae_cands[best]
         current[chosen_j] = target[chosen_j]
+        model_state.take(chosen_j)
+        if scorer_state is not None:
+            scorer_state.take(chosen_j)
         steps.append(TraceStep(chosen_j, best_reward, _signed(p_prev)))
         if _predicted(p_prev) != c0:
             return tuple(current), tuple(steps), True

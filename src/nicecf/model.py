@@ -5,9 +5,10 @@ probability of class 1 for one instance, ``predict`` thresholds it at 0.5
 (ties go to class 1), and the batch variants do the same for many rows.
 ``score(x)`` is defined as ``score_batch([x])[0]`` so single and batched
 scoring can never disagree. A subclass implements ``score_batch``; it may
-also override ``score_swaps``, the greedy search's one question ("score
-``current`` with feature j taken from ``target``, for each j"), as an exact
-fast path. The default builds the hybrids and calls ``score_batch``.
+also override ``swap_state``, which serves the greedy search's one question
+("score ``current`` with feature j taken from ``target``, for each j") for a
+whole search, as an exact fast path. The default builds the hybrids and
+calls ``score_batch``.
 
 Built-in models operate on the numeric encoding of the training statistics.
 External models receive raw feature values over a line-oriented JSON
@@ -40,30 +41,42 @@ from .distance import _weighted_scan, check_weights, heom_to_rows, k_smallest  #
 from .errors import ConfigError, DistanceError, EncodeError, ModelIOError, TrainError
 from .tabular import (
     Dataset,
+    EncodedSwaps,
+    FeatureKind,
     FeatureStats,
+    HybridSwaps,
     Instance,
+    _EncodingPlan,
     encode,
     encode_batch,
-    encode_swaps,
-    swap_hybrids,
 )
 
 
 class ClassifierHandle:
     """Uniform scoring interface.
 
-    Subclasses implement ``score_batch``. ``score_swaps`` is an optional
-    override: a fast path that must return exactly what the default returns.
+    Subclasses implement ``score_batch``. ``swap_state`` is the one optional
+    override: a fast path whose state must score exactly what the default's does.
     """
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         raise NotImplementedError
 
+    def swap_state(self, current: Instance, target: Instance):
+        """State of one greedy search from ``current`` toward ``target``.
+
+        Its ``scores(features)`` gives the score of the state's current row
+        with feature j taken from ``target``, for each j in ``features``; its
+        ``take(j)`` copies feature j into that row. The default builds each
+        hybrid and calls ``score_batch``.
+        """
+        return HybridSwaps(current, target, self.score_batch)
+
     def score_swaps(
         self, current: Instance, target: Instance, features: Sequence[int]
-    ) -> np.ndarray:
+    ) -> Sequence[float]:
         """Score of ``current`` with feature j taken from ``target``, for each j in ``features``."""
-        return self.score_batch(swap_hybrids(current, target, features))
+        return self.swap_state(current, target).scores(features)
 
     def score(self, x: Instance) -> float:
         return float(self.score_batch([x])[0])
@@ -82,7 +95,7 @@ class LogisticHandle(ClassifierHandle):
     """Logistic regression over the numeric encoding."""
 
     def __init__(self, stats: Sequence[FeatureStats], coef: np.ndarray, intercept: float):
-        self.stats = tuple(stats)
+        self.stats = _EncodingPlan(stats)
         self.coef = np.asarray(coef, dtype=np.float64)
         self.intercept = float(intercept)
 
@@ -90,12 +103,9 @@ class LogisticHandle(ClassifierHandle):
         scores = (self._score_vector(encode(self.stats, x)) for x in xs)
         return np.fromiter(scores, np.float64, len(xs))
 
-    def score_swaps(
-        self, current: Instance, target: Instance, features: Sequence[int]
-    ) -> np.ndarray:
-        """Exact fast path: two encodings, patched once per feature (:func:`encode_swaps`)."""
-        rows = encode_swaps(self.stats, current, target, features)
-        return np.fromiter(map(self._score_vector, rows), np.float64, len(rows))
+    def swap_state(self, current: Instance, target: Instance) -> EncodedSwaps:
+        """Exact fast path: two encodings for the whole search, patched per feature."""
+        return EncodedSwaps(self.stats, current, target, self._score_vector)
 
     def _score_vector(self, v: np.ndarray) -> float:
         # One dot product per encoded row, never one matrix product over a
@@ -169,11 +179,15 @@ class KnnHandle(ClassifierHandle):
         self.weights = weights
         self._ranges = [s.range for s in self.stats]
         self._labels = np.asarray(train.labels, dtype=np.float64)
+        self._numerical = [j for j, s in enumerate(self.stats) if s.kind is FeatureKind.NUMERICAL]
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         for x in xs:
             if len(x) != len(self.stats):
                 raise DistanceError("instance length does not match statistics")
+            for j in self._numerical:
+                if isinstance(x[j], float) and not math.isfinite(x[j]):
+                    raise EncodeError(f"non-finite value {x[j]} for '{self.stats[j].name}'")
         out = np.empty(len(xs), dtype=np.float64)
         for start in range(0, len(xs), self.CHUNK_ROWS):
             chunk = xs[start : start + self.CHUNK_ROWS]

@@ -9,13 +9,14 @@ training manifold and grows for implausible inputs.
 
 Any callable mapping an instance to a non-negative float can stand in for
 the autoencoder wherever a plausibility scorer is accepted. A scorer may also
-have a ``score_swaps(current, target, features)`` method, an exact fast path
-for the greedy search's single-feature hybrids (see :func:`score_swaps`); the
+have a ``swap_state(current, target)`` method, an exact fast path for the
+greedy search's single-feature hybrids (see :func:`swap_state`); the
 autoencoder scorer has one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -30,13 +31,14 @@ from .errors import ConfigError, TrainError
 from .rng import SplitMix64
 from .tabular import (
     Dataset,
+    EncodedSwaps,
     FeatureStats,
+    HybridSwaps,
     Instance,
+    _EncodingPlan,
     encode,
     encode_batch,
-    encode_swaps,
     fit_stats,
-    swap_hybrids,
 )
 
 log = logging.getLogger(__name__)
@@ -189,17 +191,14 @@ class AEScorer:
 
     def __init__(self, ae: AEModel, stats: Sequence[FeatureStats]):
         self.ae = ae
-        self.stats = tuple(stats)
+        self.stats = _EncodingPlan(stats)
 
     def __call__(self, x: Instance) -> float:
         return ae_error(self.ae, self.stats, x)
 
-    def score_swaps(
-        self, current: Instance, target: Instance, features: Sequence[int]
-    ) -> list[float]:
-        """Exact fast path: two encodings, patched once per feature (:func:`encode_swaps`)."""
-        rows = encode_swaps(self.stats, current, target, features)
-        return [_vector_error(self.ae, v) for v in rows]
+    def swap_state(self, current: Instance, target: Instance) -> EncodedSwaps:
+        """Exact fast path: two encodings for the whole search, patched per feature."""
+        return EncodedSwaps(self.stats, current, target, functools.partial(_vector_error, self.ae))
 
 
 def ae_scorer(ae: AEModel, stats: Sequence[FeatureStats]) -> AEScorer:
@@ -207,18 +206,18 @@ def ae_scorer(ae: AEModel, stats: Sequence[FeatureStats]) -> AEScorer:
     return AEScorer(ae, stats)
 
 
-def score_swaps(
-    scorer: PlausibilityScorer, current: Instance, target: Instance, features: Sequence[int]
-) -> list[float]:
-    """``scorer`` of ``current`` with feature j taken from ``target``, for each j in ``features``.
+def swap_state(scorer: PlausibilityScorer, current: Instance, target: Instance):
+    """State of one greedy search from ``current`` toward ``target``, for ``scorer``.
 
-    Uses the scorer's own ``score_swaps`` when it has one; a plain callable
-    scores each hybrid in turn.
+    Its ``scores(features)`` gives ``scorer`` of the state's current row with
+    feature j taken from ``target``, for each j in ``features``; its
+    ``take(j)`` copies feature j into that row. Uses the scorer's own
+    ``swap_state`` when it has one; a plain callable scores each hybrid in turn.
     """
-    fast = getattr(scorer, "score_swaps", None)
-    if fast is not None:
-        return fast(current, target, features)
-    return [scorer(h) for h in swap_hybrids(current, target, features)]
+    own = getattr(scorer, "swap_state", None)
+    if own is not None:
+        return own(current, target)
+    return HybridSwaps(current, target, lambda hybrids: [scorer(h) for h in hybrids])
 
 
 def save_ae(ae: AEModel, path: str | Path) -> None:

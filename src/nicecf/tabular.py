@@ -327,13 +327,46 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     return take(train_idx), take(test_idx)
 
 
-def _slot_counts(stats: Sequence[FeatureStats]) -> list[int]:
-    return [1 if s.kind is FeatureKind.NUMERICAL else len(s.categories) for s in stats]
+class _EncodingPlan(tuple):
+    """Fitted statistics with their encoding layout, worked out once.
+
+    A tuple of the same :class:`FeatureStats`, so it stands wherever the
+    statistics do. It also holds the encoded ``width``, per feature its
+    ``slots`` (a slice) and its ``fields`` (name, first slot, category->slot
+    dict or None, min, range), and ``owner``, the feature index of each slot.
+    :func:`encode` and :func:`encode_batch` read the layout from a plan when
+    given one and build one otherwise. A plan never changes after it is
+    built, so threads may share it.
+    """
+
+    def __new__(cls, stats: Sequence[FeatureStats]) -> "_EncodingPlan":
+        plan = super().__new__(cls, stats)
+        fields, slots, pos = [], [], 0
+        for stat in plan:
+            if stat.kind is FeatureKind.NUMERICAL:
+                fields.append((stat.name, pos, None, stat.min, stat.range))
+                width = 1
+            else:
+                index = {c: pos + i for i, c in enumerate(stat.categories)}
+                fields.append((stat.name, pos, index, 0.0, 0.0))
+                width = len(stat.categories)
+            slots.append(slice(pos, pos + width))
+            pos += width
+        plan.width = pos
+        plan.fields = tuple(fields)
+        plan.slots = tuple(slots)
+        plan.owner = np.repeat(np.arange(len(plan)), [s.stop - s.start for s in slots])
+        plan.owner.flags.writeable = False
+        return plan
+
+
+def _plan(stats: Sequence[FeatureStats]) -> _EncodingPlan:
+    return stats if isinstance(stats, _EncodingPlan) else _EncodingPlan(stats)
 
 
 def encoded_width(stats: Sequence[FeatureStats]) -> int:
     """Length of the encoded vector: 1 per numerical feature, |categories| per categorical."""
-    return sum(_slot_counts(stats))
+    return _plan(stats).width
 
 
 def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
@@ -341,30 +374,53 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
 
     Min-max scaling for numerical features (a zero training range emits 0,
     out-of-range values are not clipped), one-hot in stored category order
-    for categorical features. Unseen categories raise :class:`EncodeError`.
+    for categorical features. Unseen categories and non-finite numbers raise
+    :class:`EncodeError`. Each feature's slots depend on that feature's value
+    alone.
     """
-    if len(x) != len(stats):
-        raise EncodeError(f"instance has {len(x)} values, stats have {len(stats)}")
-    out = np.zeros(encoded_width(stats), dtype=np.float64)
-    pos = 0
-    for stat, value in zip(stats, x):
-        if stat.kind is FeatureKind.NUMERICAL:
+    plan = _plan(stats)
+    if len(x) != len(plan):
+        raise EncodeError(f"instance has {len(x)} values, stats have {len(plan)}")
+    out = [0.0] * plan.width  # a list is filled faster than an array, and converts exactly
+    for (name, pos, index, lo, span), value in zip(plan.fields, x):
+        if index is None:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise EncodeError(f"expected a number for '{stat.name}'")
-            if stat.range > 0.0:
-                out[pos] = (value - stat.min) / stat.range
-            pos += 1
+                raise EncodeError(f"expected a number for '{name}'")
+            if not math.isfinite(value):
+                raise EncodeError(f"non-finite value {value} for '{name}'")
+            if span > 0.0:
+                out[pos] = (value - lo) / span
+        elif not isinstance(value, str):
+            raise EncodeError(f"expected a category label for '{name}'")
+        elif (slot := index.get(value)) is None:
+            raise EncodeError(f"unseen category '{value}' for '{name}'")
         else:
-            if not isinstance(value, str):
-                raise EncodeError(f"expected a category label for '{stat.name}'")
-            try:
-                offset = stat.categories.index(value)
-            except ValueError:
-                raise EncodeError(
-                    f"unseen category '{value}' for '{stat.name}'"
-                ) from None
-            out[pos + offset] = 1.0
-            pos += len(stat.categories)
+            out[slot] = 1.0
+    return np.array(out, dtype=np.float64)
+
+
+def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:
+    """Encode many instances into a (n, encoded_width) matrix.
+
+    Column-at-a-time vectorization; each row is bit-identical to
+    :func:`encode` of that instance.
+    """
+    plan = _plan(stats)
+    out = np.zeros((len(xs), plan.width), dtype=np.float64)
+    for j, (name, pos, index, lo, span) in enumerate(plan.fields):
+        if index is None:
+            col = np.asarray([x[j] for x in xs], dtype=np.float64)
+            bad = col[~np.isfinite(col)]
+            if len(bad):
+                raise EncodeError(f"non-finite value {bad[0]} for '{name}'")
+            if span > 0.0:
+                out[:, pos] = (col - lo) / span
+        else:
+            for i, x in enumerate(xs):
+                try:
+                    out[i, index[x[j]]] = 1.0
+                except KeyError:
+                    raise EncodeError(f"unseen category '{x[j]}' for '{name}'") from None
     return out
 
 
@@ -378,49 +434,50 @@ def swap_hybrids(current: Instance, target: Instance, features: Sequence[int]) -
     return hybrids
 
 
-def encode_swaps(
-    stats: Sequence[FeatureStats],
-    current: Instance,
-    target: Instance,
-    features: Sequence[int],
-) -> np.ndarray:
-    """Encodings of :func:`swap_hybrids`, one row per j in ``features``.
+class HybridSwaps:
+    """A greedy search's swap state that builds each hybrid and scores it whole.
 
-    :func:`encode` fills each feature's slots from that feature's value only,
-    so row i is ``encode(current)`` with the slots of ``features[i]`` taken
-    from ``encode(target)``, bit for bit: two encodings whatever the number
-    of features. ``current`` and ``target`` must both be encodable.
+    ``scores(features)`` passes :func:`swap_hybrids` of the state's current
+    row to ``score_many`` (a list of instances to their scores); ``take(j)``
+    copies feature j from ``target`` into that row, a list copy of
+    ``current``. One state serves one search.
     """
-    base = encode(stats, current)
-    donor = encode(stats, target)
-    owner = np.repeat(np.arange(len(stats)), _slot_counts(stats))
-    take = owner[None, :] == np.asarray(features, dtype=np.intp)[:, None]
-    return np.where(take, donor, base)
+
+    def __init__(self, current: Instance, target: Instance, score_many):
+        self.current = list(current)
+        self.target = target
+        self._score_many = score_many
+
+    def scores(self, features: Sequence[int]):
+        return self._score_many(swap_hybrids(self.current, self.target, features))
+
+    def take(self, j: int) -> None:
+        self.current[j] = self.target[j]
 
 
-def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:
-    """Encode many instances into a (n, encoded_width) matrix.
+class EncodedSwaps:
+    """A greedy search's swap state over two encodings, made once for the whole search.
 
-    Column-at-a-time vectorization; each row is bit-identical to
-    :func:`encode` of that instance.
+    ``base`` is ``encode(current)`` and ``donor`` is ``encode(target)``.
+    ``scores(features)`` applies ``score_vector`` to one row per j: a copy
+    of ``base`` with feature j's slots taken from ``donor``. Since
+    :func:`encode` fills each feature's slots from that feature's value
+    alone, that row is bit for bit the encoding of the hybrid, and ``take(j)``,
+    which copies j's slots into ``base``, keeps ``base`` equal to the
+    encoding of the search's current row. One state serves one search.
     """
-    n = len(xs)
-    out = np.zeros((n, encoded_width(stats)), dtype=np.float64)
-    pos = 0
-    for j, stat in enumerate(stats):
-        if stat.kind is FeatureKind.NUMERICAL:
-            col = np.asarray([x[j] for x in xs], dtype=np.float64)
-            if stat.range > 0.0:
-                out[:, pos] = (col - stat.min) / stat.range
-            pos += 1
-        else:
-            index = {c: i for i, c in enumerate(stat.categories)}
-            for i, x in enumerate(xs):
-                try:
-                    out[i, pos + index[x[j]]] = 1.0
-                except KeyError:
-                    raise EncodeError(
-                        f"unseen category '{x[j]}' for '{stat.name}'"
-                    ) from None
-            pos += len(stat.categories)
-    return out
+
+    def __init__(self, stats: Sequence[FeatureStats], current: Instance, target: Instance,
+                 score_vector):
+        self._plan = _plan(stats)
+        self.base = encode(self._plan, current)
+        self.donor = encode(self._plan, target)
+        self._score_vector = score_vector
+
+    def scores(self, features: Sequence[int]) -> list:
+        take = self._plan.owner[None, :] == np.asarray(features, dtype=np.intp)[:, None]
+        return [self._score_vector(v) for v in np.where(take, self.donor, self.base)]
+
+    def take(self, j: int) -> None:
+        slots = self._plan.slots[j]
+        self.base[slots] = self.donor[slots]

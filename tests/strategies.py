@@ -9,6 +9,8 @@ from nicecf.tabular import Dataset, FeatureKind, FeatureSpec
 NUMBERS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 # Few distinct values, so that many rows lie at equal distances.
 FEW_NUMBERS = st.sampled_from((0.0, 0.5, 1.0, 2.0))
+# Ints are numbers too; they must encode as their float values do.
+INTS_OR_FLOATS = st.one_of(NUMBERS, st.integers(-1000, 1000))
 CATEGORIES = ("a", "b", "c")
 
 
@@ -66,15 +68,16 @@ def knn_problems(draw):
 
 
 @st.composite
-def swap_problems(draw):
+def swap_problems(draw, numbers=NUMBERS):
     """A labeled random table, plus a greedy-search step to score over it.
 
     Returns (table, current, target, features). ``current`` is a table
     row with some values replaced by the extra instance's, wherever those
     are encodable (out-of-range numbers included). ``target`` is a table row.
-    ``features`` may skip, repeat or reorder positions.
+    ``features`` may skip, repeat or reorder positions. Numbers are drawn
+    from ``numbers``.
     """
-    table, extra = draw(mixed_tables())
+    table, extra = draw(mixed_tables(numbers=numbers))
     n, m = len(table), len(extra)
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     table = Dataset(table.schema, table.rows, labels)

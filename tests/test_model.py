@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicecf.errors import ConfigError, DistanceError, TrainError
+from nicecf.errors import ConfigError, DistanceError, EncodeError, TrainError
 from nicecf.model import KnnHandle, LogisticHandle, train_knn_classifier, train_logistic
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
@@ -150,3 +151,21 @@ class TestKnn:
         n = len(data)
         # A whole batch x train distance matrix would take n * n * 8 bytes (72 MB).
         assert peak < n * n * 8 / 20
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["logistic", "knn"])
+def test_non_finite_number_rejected(mixed_dataset, kind, value):
+    stats = fit_stats(mixed_dataset)
+    train = train_logistic if kind == "logistic" else train_knn_classifier
+    model = train(stats, mixed_dataset)
+    good = mixed_dataset.rows[0]
+    bad = (value,) + good[1:]
+    with pytest.raises(EncodeError, match="non-finite"):
+        model.score(bad)
+    with pytest.raises(EncodeError, match="non-finite"):
+        model.score_batch([good, bad])
+    with pytest.raises(EncodeError, match="non-finite"):
+        model.swap_state(bad, good).scores([1])
+    with pytest.raises(EncodeError, match="non-finite"):
+        model.swap_state(good, bad).scores([0])

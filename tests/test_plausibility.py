@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from nicecf.errors import ConfigError, TrainError
+from nicecf.errors import ConfigError, EncodeError, TrainError
 from nicecf.plausibility import (
     AEConfig,
     AEModel,
@@ -10,6 +12,7 @@ from nicecf.plausibility import (
     load_ae,
     loss_and_gradients,
     save_ae,
+    swap_state,
     train_autoencoder,
 )
 from nicecf.synthetic import make_dataset
@@ -185,3 +188,17 @@ def test_scorer_closure(mixed_dataset):
     scorer = ae_scorer(ae, stats)
     x = mixed_dataset.rows[0]
     assert scorer(x) == ae_error(ae, stats, x)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scorer_rejects_non_finite_number(mixed_dataset, value):
+    stats = fit_stats(mixed_dataset)
+    scorer = ae_scorer(train_autoencoder(mixed_dataset, AEConfig(epochs=5), stats), stats)
+    good = mixed_dataset.rows[0]
+    bad = (value,) + good[1:]
+    with pytest.raises(EncodeError, match="non-finite"):
+        scorer(bad)
+    with pytest.raises(EncodeError, match="non-finite"):
+        swap_state(scorer, bad, good).scores([1])
+    with pytest.raises(EncodeError, match="non-finite"):
+        swap_state(scorer, good, bad).scores([0])

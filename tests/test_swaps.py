@@ -1,9 +1,10 @@
-"""Swap scoring: ``score_swaps`` returns exactly what scoring each hybrid returns.
+"""Swap scoring: a swap state scores exactly what scoring each hybrid scores.
 
 The greedy search scores ``current`` with feature j taken from ``target``,
-for every j left. The logistic model and the autoencoder scorer answer that
-from two encodings patched per feature; these tests hold them to the
-per-hybrid path and to a one-vector reference, in float hex.
+for every j left, through one swap state per search. The logistic model and
+the autoencoder scorer answer from two encodings patched per feature; these
+tests hold them to the per-hybrid path and to a one-vector reference, in
+float hex, and the encodings to a reference encoder.
 """
 
 import functools
@@ -19,10 +20,18 @@ import nicecf.tabular
 from nicecf.errors import EncodeError, NoUnlikeNeighborError
 from nicecf.explainers import RewardKind, SearchContext, explain_nice, explain_sedc
 from nicecf.model import ClassifierHandle, train_logistic
-from nicecf.plausibility import AEConfig, ae_error, ae_scorer, score_swaps, train_autoencoder
+from nicecf.plausibility import AEConfig, ae_error, ae_scorer, swap_state, train_autoencoder
 from nicecf.synthetic import make_dataset
-from nicecf.tabular import FeatureKind, encode, encode_swaps, fit_stats, swap_hybrids
-from strategies import swap_problems
+from nicecf.tabular import (
+    EncodedSwaps,
+    FeatureKind,
+    _EncodingPlan,
+    encode,
+    encode_batch,
+    fit_stats,
+    swap_hybrids,
+)
+from strategies import INTS_OR_FLOATS, swap_problems
 
 
 def fitted(table):
@@ -52,6 +61,21 @@ def wide_steps(draw):
     return current, target, [j for j in range(len(current)) if current[j] != target[j]]
 
 
+def reference_encode(stats, x):
+    """The encoding worked out afresh on every call: slot counts, then ``tuple.index``."""
+    widths = [1 if s.kind is FeatureKind.NUMERICAL else len(s.categories) for s in stats]
+    out = np.zeros(sum(widths), dtype=np.float64)
+    pos = 0
+    for stat, width, value in zip(stats, widths, x):
+        if stat.kind is FeatureKind.NUMERICAL:
+            if stat.range > 0.0:
+                out[pos] = (value - stat.min) / stat.range
+        else:
+            out[pos + stat.categories.index(value)] = 1.0
+        pos += width
+    return out
+
+
 def hexes(values):
     return [float(v).hex() for v in values]
 
@@ -71,8 +95,16 @@ def ae_reference(ae, stats, x):
     return float(np.dot(diff, diff)) / ae.width
 
 
+def scored_swaps(scorer, current, target, features):
+    """Scores of one ``scores`` call to a fresh swap state of a plausibility scorer."""
+    return swap_state(scorer, current, target).scores(features)
+
+
 class ScoreBatchOnly(ClassifierHandle):
-    """Forwards ``score_batch`` only, so the default ``score_swaps`` is used."""
+    """Forwards ``score_batch`` only, so the default swap state is used.
+
+    ``swap_calls`` counts the ``scores`` calls of every swap state it made.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -81,9 +113,16 @@ class ScoreBatchOnly(ClassifierHandle):
     def score_batch(self, xs):
         return self.inner.score_batch(xs)
 
-    def score_swaps(self, current, target, features):
-        self.swap_calls += 1
-        return super().score_swaps(current, target, features)
+    def swap_state(self, current, target):
+        state = super().swap_state(current, target)
+        scores = state.scores
+
+        def counted(features):
+            self.swap_calls += 1
+            return scores(features)
+
+        state.scores = counted
+        return state
 
 
 class TestSwapHybrids:
@@ -97,9 +136,9 @@ class TestSwapHybrids:
     def test_rows_match_encode_of_hybrids_bitwise(self, problem):
         table, current, target, features = problem
         stats = fit_stats(table)
-        rows = encode_swaps(stats, current, target, features)
+        rows = EncodedSwaps(stats, current, target, np.copy).scores(features)
         hybrids = swap_hybrids(current, target, features)
-        assert rows.shape == (len(features), len(encode(stats, current)))
+        assert len(rows) == len(features)
         for row, hybrid in zip(rows, hybrids):
             assert row.tobytes() == encode(stats, hybrid).tobytes()
 
@@ -114,10 +153,46 @@ class TestSwapHybrids:
         real = nicecf.tabular.encode
         monkeypatch.setattr(nicecf.tabular, "encode",
                             lambda *args: calls.append(1) or real(*args))
-        for swaps in (model.score_swaps, scorer.score_swaps):
+        for state in (model.swap_state, scorer.swap_state):
             calls.clear()
-            assert len(swaps(current, target, features)) == n_features
+            assert len(state(current, target).scores(features)) == n_features
             assert len(calls) == 2
+
+
+class TestEncodingPlan:
+    @settings(max_examples=150, deadline=None)
+    @given(swap_problems(numbers=INTS_OR_FLOATS))
+    def test_encodings_match_the_reference_bitwise(self, problem):
+        table, current, target, _ = problem
+        stats = fit_stats(table)
+        plan = _EncodingPlan(stats)
+        assert plan == tuple(stats)
+        rows = list(table.rows) + [current]
+        expected = [reference_encode(stats, x).tobytes() for x in rows]
+        assert [encode(plan, x).tobytes() for x in rows] == expected
+        assert [encode(stats, x).tobytes() for x in rows] == expected
+        assert [v.tobytes() for v in encode_batch(plan, rows)] == expected
+        assert [v.tobytes() for v in encode_batch(stats, rows)] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(swap_problems(numbers=INTS_OR_FLOATS), st.data())
+    def test_state_rows_and_base_follow_any_takes(self, problem, data):
+        table, current, target, features = problem
+        stats = fit_stats(table)
+        state = EncodedSwaps(_EncodingPlan(stats), current, target, np.copy)
+        taken = data.draw(st.lists(st.integers(0, len(current) - 1), max_size=2 * len(current)))
+        current = list(current)
+        for j in [None] + taken:
+            if j is not None:
+                state.take(j)
+                current[j] = target[j]
+            assert state.base.tobytes() == reference_encode(stats, current).tobytes()
+            rows = state.scores(features)
+            hybrids = swap_hybrids(current, target, features)
+            assert [v.tobytes() for v in rows] == [
+                reference_encode(stats, h).tobytes() for h in hybrids
+            ]
+            assert state.donor.tobytes() == reference_encode(stats, target).tobytes()
 
 
 class TestLogisticSwaps:
@@ -149,7 +224,7 @@ class TestAeSwaps:
         table, current, target, features = problem
         stats, _, ae = fitted(table)
         hybrids = swap_hybrids(current, target, features)
-        swapped = hexes(ae_scorer(ae, stats).score_swaps(current, target, features))
+        swapped = hexes(scored_swaps(ae_scorer(ae, stats), current, target, features))
         assert swapped == hexes(ae_error(ae, stats, h) for h in hybrids)
         assert swapped == hexes(ae_reference(ae, stats, h) for h in hybrids)
 
@@ -158,7 +233,7 @@ class TestAeSwaps:
     def test_matches_one_vector_at_a_time_on_wide_data(self, step):
         _, stats, _, ae = wide()
         hybrids = swap_hybrids(*step)
-        swapped = hexes(ae_scorer(ae, stats).score_swaps(*step))
+        swapped = hexes(scored_swaps(ae_scorer(ae, stats), *step))
         assert swapped == hexes(ae_error(ae, stats, h) for h in hybrids)
         assert swapped == hexes(ae_reference(ae, stats, h) for h in hybrids)
 
@@ -172,11 +247,9 @@ class TestAeSwaps:
             return ae_error(ae, stats, x)
 
         features = [3, 0, 3]
-        swapped = score_swaps(scorer, current, target, features)
+        scores = scored_swaps(scorer, current, target, features)
         assert seen == swap_hybrids(current, target, features)
-        assert hexes(swapped) == hexes(
-            ae_scorer(ae, stats).score_swaps(current, target, features)
-        )
+        assert hexes(scores) == hexes(scored_swaps(ae_scorer(ae, stats), current, target, features))
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,7 +269,7 @@ def test_unseen_category_in_current_raises_on_both_paths(problem):
     with pytest.raises(EncodeError):
         model.score_batch(hybrids)
     with pytest.raises(EncodeError):
-        ae_scorer(ae, stats).score_swaps(current, target, features)
+        scored_swaps(ae_scorer(ae, stats), current, target, features)
     with pytest.raises(EncodeError):
         [ae_error(ae, stats, h) for h in hybrids]
 
@@ -230,3 +303,33 @@ def test_search_takes_the_same_steps_on_the_default_path(problem):
         assert key(run(fast, kind)) == key(expected)
         if not isinstance(expected, tuple):
             assert default.swap_calls == len(expected.trace)
+
+
+@pytest.mark.parametrize("kind, states", [
+    (RewardKind.SPARSITY, 1), (RewardKind.PLAUSIBILITY, 2), (None, 1),
+])
+def test_search_encodes_twice_per_state(mixed_dataset, monkeypatch, kind, states):
+    stats, model, ae = fitted(mixed_dataset)
+    ctx = SearchContext(mixed_dataset, stats, model, scorer=ae_scorer(ae, stats))
+    calls = []
+    real = nicecf.tabular.encode
+    monkeypatch.setattr(nicecf.tabular, "encode", lambda *args: calls.append(1) or real(*args))
+    lengths = set()
+    for x0 in mixed_dataset.rows[:40]:
+        calls.clear()
+        expl = explain_sedc(x0, ctx) if kind is None else explain_nice(x0, kind, ctx)
+        lengths.add(len(expl.trace))
+        assert len(calls) == 2 * states
+    assert max(lengths) >= 3
+
+
+def test_each_search_starts_its_own_state(mixed_dataset):
+    stats, model, ae = fitted(mixed_dataset)
+    shared = SearchContext(mixed_dataset, stats, model, scorer=ae_scorer(ae, stats))
+    for kind in (RewardKind.SPARSITY, RewardKind.PLAUSIBILITY):
+        for x0 in mixed_dataset.rows[:10]:
+            fresh = SearchContext(mixed_dataset, stats, train_logistic(stats, mixed_dataset, epochs=20),
+                                  scorer=ae_scorer(ae, stats))
+            got, expected = explain_nice(x0, kind, shared), explain_nice(x0, kind, fresh)
+            assert (got.counterfactual, hexes(s.reward for s in got.trace)) == (
+                expected.counterfactual, hexes(s.reward for s in expected.trace))

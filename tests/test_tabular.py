@@ -264,6 +264,13 @@ class TestEncode:
         with pytest.raises(EncodeError):
             encode(tiny_stats, (25.0,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, tiny_stats, value):
+        with pytest.raises(EncodeError, match="non-finite"):
+            encode(tiny_stats, (value, "red"))
+        with pytest.raises(EncodeError, match="non-finite"):
+            encode_batch(tiny_stats, [(25.0, "red"), (value, "red")])
+
     def test_batch_matches_single(self, mixed_dataset):
         stats = fit_stats(mixed_dataset)
         X = encode_batch(stats, mixed_dataset.rows)
@@ -316,3 +323,15 @@ class TestDataset:
         assert labels.dtype == np.int64
         assert labels.tolist() == [0, 0, 1, 1]
         assert Dataset(tiny_dataset.schema, tiny_dataset.rows).label_array() is None
+
+
+@pytest.mark.parametrize("row, column, location", [
+    (2, None, " (row=2)"),
+    (None, "a", " (column='a')"),
+    (2, "a", " (row=2, column='a')"),
+    (None, None, ""),
+])
+def test_ingest_error_names_only_the_known_location(row, column, location):
+    error = IngestError("label must be 0 or 1, got 2", row=row, column=column)
+    assert str(error) == "label must be 0 or 1, got 2" + location
+    assert (error.row, error.column) == (row, column)
