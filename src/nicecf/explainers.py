@@ -49,10 +49,10 @@ from .distance import (
     heom_to_rows,
     nearest_unlike_neighbor,
 )
-from .errors import ConfigError, EncodeError, NoUnlikeNeighborError
+from .errors import ConfigError, NoUnlikeNeighborError
 from .model import ClassifierHandle
 from .plausibility import PlausibilityScorer, swap_state
-from .tabular import Dataset, FeatureKind, FeatureStats, Instance, _row_problem
+from .tabular import Dataset, FeatureKind, FeatureStats, Instance
 
 
 class RewardKind(Enum):
@@ -249,12 +249,6 @@ def reward(
     return _reward_core(kind, ctx, y_hat, p_prev, p_cand, j, prev[j], cand[j], ae_prev, ae_cand)
 
 
-def _check_source(x0: Instance, ctx: SearchContext) -> None:
-    """Hold ``x0`` to the training schema's row rule before any model or distance sees it."""
-    if problem := _row_problem(ctx.train.schema, x0):
-        raise EncodeError(problem[0])
-
-
 def _explanation(
     explainer_id: str,
     x0: Instance,
@@ -348,7 +342,7 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     copies anchor values with the given reward. Termination with a flip is
     guaranteed because the last remaining candidate is the anchor itself.
     """
-    _check_source(x0, ctx)
+    ctx.train.rule.check(x0)
     t0 = time.perf_counter()
     if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
         raise ConfigError("plausibility search requires a scorer on the context")
@@ -377,7 +371,7 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     No correctness filter: a misclassified training row qualifies. Distance
     ties break toward the smaller row index.
     """
-    _check_source(x0, ctx)
+    ctx.train.rule.check(x0)
     t0 = time.perf_counter()
     c0 = ctx.model.predict(x0)
     preds = ctx.train_predictions()
@@ -403,7 +397,7 @@ def explain_sedc(
     c, every instance predicted as the other class is explained successfully,
     because the search terminates at that instance in the worst case.
     """
-    _check_source(x0, ctx)
+    ctx.train.rule.check(x0)
     t0 = time.perf_counter()
     if max_iters is not None and max_iters < 1:
         raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
@@ -424,7 +418,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     first pair in case-base order. An empty case base, or a copy that fails
     to flip the class, yields ``valid=False``.
     """
-    _check_source(x0, ctx)
+    ctx.train.rule.check(x0)
     t0 = time.perf_counter()
     c0 = ctx.model.predict(x0)
     base = ctx.case_base()

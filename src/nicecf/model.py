@@ -42,7 +42,6 @@ from .errors import ConfigError, DistanceError, EncodeError, ModelIOError, Train
 from .tabular import (
     Dataset,
     EncodedSwaps,
-    FeatureKind,
     FeatureStats,
     HybridSwaps,
     Instance,
@@ -159,7 +158,9 @@ class KnnHandle(ClassifierHandle):
     long the batch. Each row's neighbors are then selected with
     :func:`k_smallest`, not by sorting all its distances. Scores are
     bit-identical to ``heom_to_rows`` followed by a full (distance, row index)
-    sort, one row at a time.
+    sort, one row at a time. A row of the wrong length raises
+    :class:`DistanceError`; any other row that breaks the training schema's
+    row rule raises :class:`EncodeError`, before any distance is taken.
     """
 
     CHUNK_ROWS = 64
@@ -179,15 +180,12 @@ class KnnHandle(ClassifierHandle):
         self.weights = weights
         self._ranges = [s.range for s in self.stats]
         self._labels = np.asarray(train.labels, dtype=np.float64)
-        self._numerical = [j for j, s in enumerate(self.stats) if s.kind is FeatureKind.NUMERICAL]
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         for x in xs:
             if len(x) != len(self.stats):
                 raise DistanceError("instance length does not match statistics")
-            for j in self._numerical:
-                if isinstance(x[j], float) and not math.isfinite(x[j]):
-                    raise EncodeError(f"non-finite value {x[j]} for '{self.stats[j].name}'")
+            self.train.rule.check(x)
         out = np.empty(len(xs), dtype=np.float64)
         for start in range(0, len(xs), self.CHUNK_ROWS):
             chunk = xs[start : start + self.CHUNK_ROWS]

@@ -25,19 +25,19 @@ def make_dataset(
     n_categories: int = 3,
     separation: float = 1.0,
     quantize: float | None = None,
-    class_balance: float = 0.5,
 ) -> Dataset:
     """Labeled two-class dataset with ``n_num`` numerical and ``n_cat`` categorical features.
 
-    ``noise`` flips each label with that probability (producing genuinely
-    misclassified rows under any accurate model). ``separation`` is the gap
-    between class centers; ``quantize`` snaps numerical values to that grid
-    step, which makes duplicate values (and near-duplicate rows) common.
+    Each row is of class 0 or 1 with equal odds. ``noise`` flips each label
+    with that probability (producing genuinely misclassified rows under any
+    accurate model). ``separation`` is the gap between class centers;
+    ``quantize`` snaps numerical values to that grid step, which makes
+    duplicate values (and near-duplicate rows) common.
     """
     if n_rows < 1 or n_num < 0 or n_cat < 0 or n_num + n_cat < 1:
         raise ConfigError("need at least one row and one feature")
-    if not 0.0 <= noise <= 1.0 or not 0.0 < class_balance < 1.0:
-        raise ConfigError("noise must be in [0, 1] and class_balance in (0, 1)")
+    if not 0.0 <= noise <= 1.0:
+        raise ConfigError("noise must be in [0, 1]")
     if n_categories < 2 or n_categories > len(string.ascii_lowercase):
         raise ConfigError("n_categories must be between 2 and 26")
     if quantize is not None and quantize <= 0.0:
@@ -61,7 +61,7 @@ def make_dataset(
     rows: list[Instance] = []
     labels: list[int] = []
     for _ in range(n_rows):
-        cls = 1 if rng.uniform() < class_balance else 0
+        cls = 1 if rng.uniform() < 0.5 else 0
         flip = rng.uniform() < noise
         label = 1 - cls if flip else cls
         values: list = []

@@ -82,11 +82,12 @@ class FeatureStats:
 class Dataset:
     """Immutable collection of validated rows plus optional binary labels.
 
-    A row that breaks the schema (see :func:`_row_problem`) or a label other
-    than 0 or 1 raises :class:`IngestError` with its row index. Rows are
-    stored as tuples in ingestion order. Numpy views of the columns
-    and labels are built lazily for vectorized scans and shared by all readers;
-    the object is safe to share across threads once constructed.
+    ``rule`` is the schema's :class:`_RowRule`, compiled once. A row that
+    breaks it or a label other than 0 or 1 raises :class:`IngestError` with
+    its row index. Rows are stored as tuples in ingestion order. Numpy views
+    of the columns and labels are built lazily for vectorized scans and
+    shared by all readers; the object is safe to share across threads once
+    constructed.
     """
 
     def __init__(
@@ -100,8 +101,9 @@ class Dataset:
         self.labels: tuple[int, ...] | None = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != len(self.rows):
             raise IngestError("labels and rows have different lengths")
+        self.rule = _RowRule(self.schema)
         for i, row in enumerate(self.rows):
-            if problem := _row_problem(self.schema, row):
+            if problem := self.rule.problem(row):
                 raise IngestError(problem[0], row=i, column=problem[1])
         for i, label in enumerate(self.labels or ()):
             if isinstance(label, bool) or label not in (0, 1):
@@ -144,26 +146,43 @@ class Dataset:
         return self._label_array
 
 
-def _row_problem(schema: Sequence[FeatureSpec], row: Instance) -> tuple[str, str | None] | None:
-    """The first way ``row`` breaks ``schema`` as (message, feature name), or None.
+class _RowRule:
+    """The value rule for rows over a list of features, compiled once.
 
-    A row holds one value per feature. A numerical value is a finite int or
-    float, not a bool; a categorical value is a str, and one of the declared
-    categories when the schema declares them.
+    Built from a schema's :class:`FeatureSpec` list (category sets as
+    declared, or none) or from :class:`FeatureStats` (the training category
+    sets). A row holds one value per feature. A numerical value is a finite
+    int or float, not a bool; a categorical value is a str, and one of the
+    feature's categories when it has a set. Threads may share a rule.
     """
-    if len(row) != len(schema):
-        return f"row has {len(row)} values, schema has {len(schema)}", None
-    for spec, value in zip(schema, row):
-        if spec.kind is FeatureKind.NUMERICAL:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"expected a number for '{spec.name}'", spec.name
-            if not math.isfinite(value):
-                return f"non-finite value {value} for '{spec.name}'", spec.name
-        elif not isinstance(value, str):
-            return f"expected a category label for '{spec.name}'", spec.name
-        elif spec.categories is not None and value not in spec.categories:
-            return f"unknown category '{value}' for '{spec.name}'", spec.name
-    return None
+
+    def __init__(self, specs: Sequence[FeatureSpec] | Sequence[FeatureStats]):
+        self._fields = tuple(
+            (s.name, s.kind is FeatureKind.NUMERICAL,
+             None if s.categories is None else frozenset(s.categories)) for s in specs)
+
+    def problem(self, row: Instance) -> tuple[str, str | None] | None:
+        """The first way ``row`` breaks the rule as (message, feature name), or None."""
+        if len(row) != len(self._fields):
+            return f"row has {len(row)} values, schema has {len(self._fields)}", None
+        for (name, numerical, categories), value in zip(self._fields, row):
+            if numerical:
+                # The exact type test first: it is the common case, and cheaper.
+                if type(value) not in (float, int) and (
+                        isinstance(value, bool) or not isinstance(value, (int, float))):
+                    return f"expected a number for '{name}'", name
+                if not math.isfinite(value):
+                    return f"non-finite value {value} for '{name}'", name
+            elif not isinstance(value, str):
+                return f"expected a category label for '{name}'", name
+            elif categories is not None and value not in categories:
+                return f"unknown category '{value}' for '{name}'", name
+        return None
+
+    def check(self, row: Instance) -> None:
+        """Raise :class:`EncodeError` with the message of :meth:`problem`, if any."""
+        if problem := self.problem(row):
+            raise EncodeError(problem[0])
 
 
 def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]:
@@ -328,15 +347,16 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
 
 
 class _EncodingPlan(tuple):
-    """Fitted statistics with their encoding layout, worked out once.
+    """Fitted statistics with their row rule and encoding layout, worked out once.
 
     A tuple of the same :class:`FeatureStats`, so it stands wherever the
-    statistics do. It also holds the encoded ``width``, per feature its
-    ``slots`` (a slice) and its ``fields`` (name, first slot, category->slot
-    dict or None, min, range), and ``owner``, the feature index of each slot.
-    :func:`encode` and :func:`encode_batch` read the layout from a plan when
-    given one and build one otherwise. A plan never changes after it is
-    built, so threads may share it.
+    statistics do. It also holds ``rule``, the statistics' :class:`_RowRule`
+    (a category must be one the training split holds), the encoded ``width``,
+    per feature its ``slots`` (a slice) and its ``fields`` (first slot,
+    category->slot dict or None, min, range), and ``owner``, the feature index
+    of each slot. :func:`encode` and :func:`encode_batch` read the rule and
+    the layout from a plan when given one and build one otherwise. A plan
+    never changes after it is built, so threads may share it.
     """
 
     def __new__(cls, stats: Sequence[FeatureStats]) -> "_EncodingPlan":
@@ -344,14 +364,15 @@ class _EncodingPlan(tuple):
         fields, slots, pos = [], [], 0
         for stat in plan:
             if stat.kind is FeatureKind.NUMERICAL:
-                fields.append((stat.name, pos, None, stat.min, stat.range))
+                fields.append((pos, None, stat.min, stat.range))
                 width = 1
             else:
                 index = {c: pos + i for i, c in enumerate(stat.categories)}
-                fields.append((stat.name, pos, index, 0.0, 0.0))
+                fields.append((pos, index, 0.0, 0.0))
                 width = len(stat.categories)
             slots.append(slice(pos, pos + width))
             pos += width
+        plan.rule = _RowRule(plan)
         plan.width = pos
         plan.fields = tuple(fields)
         plan.slots = tuple(slots)
@@ -374,53 +395,40 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
 
     Min-max scaling for numerical features (a zero training range emits 0,
     out-of-range values are not clipped), one-hot in stored category order
-    for categorical features. Unseen categories and non-finite numbers raise
+    for categorical features. An instance that breaks the statistics' row
+    rule (a category the training split never held included) raises
     :class:`EncodeError`. Each feature's slots depend on that feature's value
     alone.
     """
     plan = _plan(stats)
-    if len(x) != len(plan):
-        raise EncodeError(f"instance has {len(x)} values, stats have {len(plan)}")
+    plan.rule.check(x)
     out = [0.0] * plan.width  # a list is filled faster than an array, and converts exactly
-    for (name, pos, index, lo, span), value in zip(plan.fields, x):
-        if index is None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise EncodeError(f"expected a number for '{name}'")
-            if not math.isfinite(value):
-                raise EncodeError(f"non-finite value {value} for '{name}'")
-            if span > 0.0:
-                out[pos] = (value - lo) / span
-        elif not isinstance(value, str):
-            raise EncodeError(f"expected a category label for '{name}'")
-        elif (slot := index.get(value)) is None:
-            raise EncodeError(f"unseen category '{value}' for '{name}'")
-        else:
-            out[slot] = 1.0
+    for (pos, index, lo, span), value in zip(plan.fields, x):
+        if index is not None:
+            out[index[value]] = 1.0
+        elif span > 0.0:
+            out[pos] = (value - lo) / span
     return np.array(out, dtype=np.float64)
 
 
 def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:
     """Encode many instances into a (n, encoded_width) matrix.
 
-    Column-at-a-time vectorization; each row is bit-identical to
-    :func:`encode` of that instance.
+    Each instance is held to the statistics' row rule first, as in
+    :func:`encode`; then the matrix is filled a column at a time. Each row
+    is bit-identical to :func:`encode` of that instance.
     """
     plan = _plan(stats)
+    for x in xs:
+        plan.rule.check(x)
     out = np.zeros((len(xs), plan.width), dtype=np.float64)
-    for j, (name, pos, index, lo, span) in enumerate(plan.fields):
+    for j, (pos, index, lo, span) in enumerate(plan.fields):
         if index is None:
-            col = np.asarray([x[j] for x in xs], dtype=np.float64)
-            bad = col[~np.isfinite(col)]
-            if len(bad):
-                raise EncodeError(f"non-finite value {bad[0]} for '{name}'")
             if span > 0.0:
-                out[:, pos] = (col - lo) / span
+                out[:, pos] = (np.asarray([x[j] for x in xs], dtype=np.float64) - lo) / span
         else:
             for i, x in enumerate(xs):
-                try:
-                    out[i, index[x[j]]] = 1.0
-                except KeyError:
-                    raise EncodeError(f"unseen category '{x[j]}' for '{name}'") from None
+                out[i, index[x[j]]] = 1.0
     return out
 
 

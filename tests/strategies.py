@@ -1,5 +1,7 @@
 """Hypothesis strategies and scalar references shared by the property tests."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -41,6 +43,38 @@ def mixed_tables(draw, min_rows=2, max_rows=10, numbers=NUMBERS):
         columns.append(column)
     rows = [tuple(column[i] for column in columns) for i in range(n)]
     return Dataset(schema, rows), tuple(extra)
+
+
+# Values that break the row rule, by feature kind, each with the message
+# that names it (the feature name goes into the braces).
+NOT_A_NUMBER = "expected a number for '{}'"
+NOT_A_LABEL = "expected a category label for '{}'"
+BAD_NUMERICAL = (
+    ("1.5", NOT_A_NUMBER), (True, NOT_A_NUMBER), (None, NOT_A_NUMBER),
+    (np.int64(1), NOT_A_NUMBER), (math.nan, "non-finite value nan for '{}'"),
+    (math.inf, "non-finite value inf for '{}'"), (-math.inf, "non-finite value -inf for '{}'"),
+)
+BAD_CATEGORICAL = ((1.0, NOT_A_LABEL), (2, NOT_A_LABEL), (np.float64(0.5), NOT_A_LABEL))
+
+
+@st.composite
+def rows_with_one_bad_value(draw):
+    """A labeled random table, a row with one value that breaks the row rule, and its message.
+
+    The row is a table row with the value at a random position replaced by
+    one drawn from ``BAD_NUMERICAL`` or ``BAD_CATEGORICAL``, by that
+    feature's kind. Returns (table, row, feature name, message).
+    """
+    table, _ = draw(mixed_tables())
+    n = len(table)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = Dataset(table.schema, table.rows, labels)
+    row = draw(st.sampled_from(table.rows))
+    j = draw(st.integers(0, len(row) - 1))
+    spec = table.schema[j]
+    bad = BAD_NUMERICAL if spec.kind is FeatureKind.NUMERICAL else BAD_CATEGORICAL
+    value, message = draw(st.sampled_from(bad))
+    return table, row[:j] + (value,) + row[j + 1:], spec.name, message.format(spec.name)
 
 
 @st.composite
