@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DistanceError, NoUnlikeNeighborError
-from .tabular import Dataset, FeatureKind, FeatureStats, Instance
+from .tabular import _OUT_OF_RANGE, Dataset, FeatureKind, FeatureStats, Instance
 
 
 def check_weights(stats: Sequence[FeatureStats], weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -29,8 +29,14 @@ def check_weights(stats: Sequence[FeatureStats], weights: Sequence[float] | None
     if len(weights) != len(stats):
         raise DistanceError(f"{len(weights)} weights for {len(stats)} features")
     for stat, w in zip(stats, weights):
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0.0 < w < math.inf:
-            raise DistanceError(f"weight for '{stat.name}' must be positive and finite, got {w!r}")
+        try:
+            good = (not isinstance(w, bool) and isinstance(w, (int, float))
+                    and 0.0 < float(w) < math.inf)
+            got = repr(w)
+        except OverflowError:
+            good, got = False, f"an {_OUT_OF_RANGE}"
+        if not good:
+            raise DistanceError(f"weight for '{stat.name}' must be positive and finite, got {got}")
     return tuple(float(w) for w in weights)
 
 

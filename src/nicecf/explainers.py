@@ -14,7 +14,7 @@ y_hat = +1 when the source is predicted class 1, else -1:
 - spars:       y_hat * (s(prev) - s(cand)); since each step changes exactly
                one feature, maximizing score drop per step favors sparsity.
 - prox:        the same score drop divided by the weighted distance increase
-               of the step (guarded below by a small epsilon).
+               of the step (guarded below by ``_EPSILON``).
 - plaus:       the score drop multiplied by the reconstruction-error drop
                of a plausibility scorer. Note the product form can reward a
                candidate whose score change AND plausibility change are both
@@ -28,8 +28,9 @@ reward run toward the training mean/mode instance instead of a training
 row, and so has no flip guarantee; and a case-based explainer reusing
 pairs of training rows that differ in at most two features (cbr).
 
-Every explainer first holds the source to the row rule of :class:`Dataset`,
-and raises :class:`EncodeError` for a source that breaks it, whatever the model.
+Every explainer starts the same way: it holds the source to the row rule of
+:class:`Dataset` (raising :class:`EncodeError` for a source that breaks it,
+whatever the model), starts its clock and scores the source once.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ class SearchContext:
     """Shared read-only state for a batch of explanations.
 
     Bundles the training data, fitted statistics, the model handle, feature
-    cost weights, an optional plausibility scorer, and the proximity-reward
-    denominator guard. Derived state (training-set predictions, the
-    mean/mode instance, the case base of near-duplicate cross-class pairs)
-    is computed lazily under a lock, so one context can serve many threads.
+    cost weights and an optional plausibility scorer. The mean/mode instance
+    is computed up front; the model-dependent state (training-set
+    predictions, the case base of near-duplicate cross-class pairs) is
+    computed lazily under a lock, so one context can serve many threads.
     """
 
     def __init__(
@@ -113,10 +114,7 @@ class SearchContext:
         model: ClassifierHandle,
         weights: Sequence[float] | None = None,
         scorer: PlausibilityScorer | None = None,
-        epsilon: float = 1e-9,
     ):
-        if epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {epsilon}")
         if len(stats) != train.n_features:
             raise ConfigError("statistics do not match the training schema")
         self.train = train
@@ -124,10 +122,11 @@ class SearchContext:
         self.model = model
         self.weights = check_weights(stats, weights)
         self.scorer = scorer
-        self.epsilon = float(epsilon)
+        self._mean_mode: Instance = tuple(
+            s.mean if s.kind is FeatureKind.NUMERICAL else s.mode for s in self.stats
+        )
         self._lock = threading.Lock()
         self._train_predictions: np.ndarray | None = None
-        self._mean_mode: Instance | None = None
         self._case_base: np.ndarray | None = None
 
     def train_predictions(self) -> np.ndarray:
@@ -139,13 +138,7 @@ class SearchContext:
 
     def mean_mode_instance(self) -> Instance:
         """The instance holding each feature's training mean (numeric) or mode."""
-        with self._lock:
-            if self._mean_mode is None:
-                self._mean_mode = tuple(
-                    s.mean if s.kind is FeatureKind.NUMERICAL else s.mode
-                    for s in self.stats
-                )
-            return self._mean_mode
+        return self._mean_mode
 
     def case_base(self) -> np.ndarray:
         """Pairs of training rows predicted as different classes differing in <= 2 features.
@@ -165,7 +158,6 @@ class SearchContext:
     def warm(self, include_case_base: bool = False) -> None:
         """Populate the lazy caches up front (before handing the context to threads)."""
         self.train_predictions()
-        self.mean_mode_instance()
         if include_case_base:
             self.case_base()
 
@@ -183,6 +175,12 @@ def _build_case_base(
     i0, i1 = np.nonzero((counts >= 1) & (counts <= 2))
     base = np.column_stack((idx0[i0], idx1[i1]))
     return base[np.lexsort((base.max(axis=1), base.min(axis=1)))]
+
+
+# Floor of the proximity reward's denominator: a step between two distinct
+# numbers can underflow to a zero distance (a tiny change over a huge range),
+# and the reward must stay finite.
+_EPSILON = 1e-9
 
 
 def _signed(p: float) -> float:
@@ -213,7 +211,7 @@ def _reward_core(
         return delta
     if kind is RewardKind.PROXIMITY:
         step = ctx.weights[j] * heom_feature(ctx.stats[j], prev_j, cand_j)
-        return delta / max(step, ctx.epsilon)
+        return delta / max(step, _EPSILON)
     if kind is RewardKind.PLAUSIBILITY:
         return delta * (ae_prev - ae_cand)
     raise ConfigError("reward is undefined for kind 'none'")
@@ -249,6 +247,18 @@ def reward(
     return _reward_core(kind, ctx, y_hat, p_prev, p_cand, j, prev[j], cand[j], ae_prev, ae_cand)
 
 
+def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, float, int]:
+    """The start of every explainer: check ``x0``, start the clock, score ``x0`` once.
+
+    Raises :class:`EncodeError` when ``x0`` breaks the row rule. Returns
+    (start time, score, predicted class).
+    """
+    ctx.train.rule.check(x0)
+    t0 = time.perf_counter()
+    p0 = ctx.model.score(x0)
+    return t0, p0, _predicted(p0)
+
+
 def _explanation(
     explainer_id: str,
     x0: Instance,
@@ -281,22 +291,23 @@ def _greedy_toward(
     target: Instance,
     kind: RewardKind,
     ctx: SearchContext,
-    max_iters: int | None = None,
 ) -> tuple[Instance, tuple[TraceStep, ...], bool]:
     """Copy ``target`` values into ``x0`` one feature per iteration until the class flips.
 
     ``p0`` is the model's score of ``x0``. The search keeps one swap state
     of the model (and one of the scorer for the plausibility reward) from
-    ``x0`` toward ``target``. Each iteration scores one candidate per feature
-    still differing from the target, in one ``scores`` call to each state,
-    keeps the reward argmax (ties to the smallest feature index) and
-    ``take``s it. The search stops at the first flip, when nothing is left
-    to copy, or after ``max_iters`` iterations. Returns (counterfactual,
-    trace, valid), where valid means the class flipped.
+    ``x0`` toward ``target``, and the ascending list of features still
+    differing from the target. Each iteration scores one candidate per
+    listed feature, in one ``scores`` call to each state, keeps the reward
+    argmax (ties to the smallest feature index), ``take``s it and drops it
+    from the list. The search stops at the first flip or when nothing is
+    left to copy. Returns (counterfactual, trace, valid), where valid means
+    the class flipped.
     """
     c0 = _predicted(p0)
     y_hat = 1 if c0 == 1 else -1
     current = list(x0)
+    remaining = [j for j in range(len(x0)) if x0[j] != target[j]]
     p_prev = p0
     model_state = ctx.model.swap_state(x0, target)
     ae_prev = scorer_state = None
@@ -304,10 +315,7 @@ def _greedy_toward(
         ae_prev = ctx.scorer(x0)
         scorer_state = swap_state(ctx.scorer, x0, target)
     steps: list[TraceStep] = []
-    while max_iters is None or len(steps) < max_iters:
-        remaining = [j for j in range(len(current)) if current[j] != target[j]]
-        if not remaining:
-            break
+    while remaining:
         p_cands = model_state.scores(remaining)
         if scorer_state is not None:
             ae_cands = scorer_state.scores(remaining)
@@ -316,13 +324,14 @@ def _greedy_toward(
         best = 0
         best_reward = None
         for i, j in enumerate(remaining):
+            # A feature is copied at most once, so the current row still holds x0[j].
             r = _reward_core(
                 kind, ctx, y_hat, p_prev, float(p_cands[i]), j,
-                current[j], target[j], ae_prev, ae_cands[i],
+                x0[j], target[j], ae_prev, ae_cands[i],
             )
             if best_reward is None or r > best_reward:
                 best, best_reward = i, r
-        chosen_j = remaining[best]
+        chosen_j = remaining.pop(best)
         p_prev = float(p_cands[best])
         ae_prev = ae_cands[best]
         current[chosen_j] = target[chosen_j]
@@ -342,12 +351,9 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     copies anchor values with the given reward. Termination with a flip is
     guaranteed because the last remaining candidate is the anchor itself.
     """
-    ctx.train.rule.check(x0)
-    t0 = time.perf_counter()
     if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
         raise ConfigError("plausibility search requires a scorer on the context")
-    p0 = ctx.model.score(x0)
-    c0 = _predicted(p0)
+    t0, p0, c0 = _classify(x0, ctx)
     preds = ctx.train_predictions()
     nn_index = nearest_unlike_neighbor(ctx.stats, x0, ctx.train, preds, c0, ctx.weights)
     x_nn = ctx.train.rows[nn_index]
@@ -371,9 +377,7 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     No correctness filter: a misclassified training row qualifies. Distance
     ties break toward the smaller row index.
     """
-    ctx.train.rule.check(x0)
-    t0 = time.perf_counter()
-    c0 = ctx.model.predict(x0)
+    t0, _, c0 = _classify(x0, ctx)
     preds = ctx.train_predictions()
     eligible = preds != c0
     if not bool(eligible.any()):
@@ -384,26 +388,20 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     return _explanation("wit", x0, counterfactual, True, t0, (), counterfactual, index)
 
 
-def explain_sedc(
-    x0: Instance, ctx: SearchContext, max_iters: int | None = None
-) -> Explanation:
+def explain_sedc(x0: Instance, ctx: SearchContext) -> Explanation:
     """Greedy sparsity-reward search toward the training mean/mode instance.
 
     The same search as the sparsity-reward hybrid, but values are copied
     from the all-mean/mode instance instead of a training row, so there is
-    no flip guarantee: when every feature has been replaced (or ``max_iters``
-    is exhausted) without a class change, the result has ``valid=False``.
+    no flip guarantee: when every feature has been replaced without a class
+    change, the result has ``valid=False``.
     Consequence: whenever the all-mean/mode instance is predicted as class
     c, every instance predicted as the other class is explained successfully,
     because the search terminates at that instance in the worst case.
     """
-    ctx.train.rule.check(x0)
-    t0 = time.perf_counter()
-    if max_iters is not None and max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    p0 = ctx.model.score(x0)
+    t0, p0, _ = _classify(x0, ctx)
     counterfactual, trace, valid = _greedy_toward(
-        x0, p0, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx, max_iters
+        x0, p0, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx
     )
     return _explanation("sedc", x0, counterfactual, valid, t0, trace)
 
@@ -418,9 +416,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     first pair in case-base order. An empty case base, or a copy that fails
     to flip the class, yields ``valid=False``.
     """
-    ctx.train.rule.check(x0)
-    t0 = time.perf_counter()
-    c0 = ctx.model.predict(x0)
+    t0, _, c0 = _classify(x0, ctx)
     base = ctx.case_base()
     if len(base) == 0:
         return _explanation("cbr", x0, tuple(x0), False, t0)

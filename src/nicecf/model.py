@@ -46,6 +46,7 @@ from .tabular import (
     HybridSwaps,
     Instance,
     _EncodingPlan,
+    _OUT_OF_RANGE,
     encode,
     encode_batch,
 )
@@ -70,12 +71,6 @@ class ClassifierHandle:
         hybrid and calls ``score_batch``.
         """
         return HybridSwaps(current, target, self.score_batch)
-
-    def score_swaps(
-        self, current: Instance, target: Instance, features: Sequence[int]
-    ) -> Sequence[float]:
-        """Score of ``current`` with feature j taken from ``target``, for each j in ``features``."""
-        return self.swap_state(current, target).scores(features)
 
     def score(self, x: Instance) -> float:
         return float(self.score_batch([x])[0])
@@ -224,7 +219,12 @@ def train_knn_classifier(
 
 def _json_safe(x: Instance) -> list:
     # Adding 0.0 sends -0.0 as 0.0: the search and HEOM treat the two as one value.
-    out = [v if isinstance(v, str) else float(v) + 0.0 for v in x]
+    try:
+        out = [v if isinstance(v, str) else float(v) + 0.0 for v in x]
+    except OverflowError:
+        raise EncodeError(
+            f"external models take finite numbers only, got an {_OUT_OF_RANGE}"
+        ) from None
     # JSON has no NaN or Infinity; json.dumps would write them anyway.
     if any(not isinstance(v, str) and not math.isfinite(v) for v in out):
         raise EncodeError(f"external models take finite numbers only, got {x!r}")

@@ -30,6 +30,9 @@ from .rng import SplitMix64
 Value = str | float
 # One row, aligned positionally to the schema.
 Instance = tuple[Value, ...]
+# Every check of a number names an int too large for a float with this
+# phrase, and leaves its hundreds of digits out of the message.
+_OUT_OF_RANGE = "integer out of float range"
 
 
 class FeatureKind(Enum):
@@ -152,8 +155,8 @@ class _RowRule:
     Built from a schema's :class:`FeatureSpec` list (category sets as
     declared, or none) or from :class:`FeatureStats` (the training category
     sets). A row holds one value per feature. A numerical value is a finite
-    int or float, not a bool; a categorical value is a str, and one of the
-    feature's categories when it has a set. Threads may share a rule.
+    float or an int that fits one, not a bool; a categorical value is a str,
+    one of the feature's categories when it has a set. Threads may share it.
     """
 
     def __init__(self, specs: Sequence[FeatureSpec] | Sequence[FeatureStats]):
@@ -171,7 +174,11 @@ class _RowRule:
                 if type(value) not in (float, int) and (
                         isinstance(value, bool) or not isinstance(value, (int, float))):
                     return f"expected a number for '{name}'", name
-                if not math.isfinite(value):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:
+                    return f"{_OUT_OF_RANGE} for '{name}'", name
+                if not finite:
                     return f"non-finite value {value} for '{name}'", name
             elif not isinstance(value, str):
                 return f"expected a category label for '{name}'", name
@@ -385,11 +392,6 @@ def _plan(stats: Sequence[FeatureStats]) -> _EncodingPlan:
     return stats if isinstance(stats, _EncodingPlan) else _EncodingPlan(stats)
 
 
-def encoded_width(stats: Sequence[FeatureStats]) -> int:
-    """Length of the encoded vector: 1 per numerical feature, |categories| per categorical."""
-    return _plan(stats).width
-
-
 def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
     """Numeric encoding of one instance against fitted statistics.
 
@@ -412,7 +414,7 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
 
 
 def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:
-    """Encode many instances into a (n, encoded_width) matrix.
+    """Encode many instances into a (n, encoded width) matrix.
 
     Each instance is held to the statistics' row rule first, as in
     :func:`encode`; then the matrix is filled a column at a time. Each row

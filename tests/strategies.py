@@ -53,6 +53,7 @@ BAD_NUMERICAL = (
     ("1.5", NOT_A_NUMBER), (True, NOT_A_NUMBER), (None, NOT_A_NUMBER),
     (np.int64(1), NOT_A_NUMBER), (math.nan, "non-finite value nan for '{}'"),
     (math.inf, "non-finite value inf for '{}'"), (-math.inf, "non-finite value -inf for '{}'"),
+    (10**400, "integer out of float range for '{}'"),
 )
 BAD_CATEGORICAL = ((1.0, NOT_A_LABEL), (2, NOT_A_LABEL), (np.float64(0.5), NOT_A_LABEL))
 

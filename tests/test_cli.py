@@ -283,8 +283,10 @@ class TestWeights:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    # Written as JSON text: 1e400 parses as inf, NaN as nan.
-    @pytest.mark.parametrize("value", ["-1", "0", "NaN", "1e400"])
+    # Written as JSON text: 1e400 parses as inf, NaN as nan, and 1 with 400
+    # zeros as an int too large for a float, whose digits the message leaves out.
+    @pytest.mark.parametrize("value", ["-1", "0", "NaN", "1e400", "1" + "0" * 400],
+                             ids=["-1", "0", "NaN", "1e400", "10**400"])
     def test_non_positive_or_non_finite_weight_rejected(
         self, data_files, tmp_path, value, capsys
     ):
@@ -295,7 +297,9 @@ class TestWeights:
              "--index", "0", "--weights", str(weights)]
         )
         assert code == 1
-        assert "positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "positive and finite" in err
+        assert "0" * 400 not in err
 
 
 class TestBenchmark:

@@ -254,22 +254,48 @@ class CountingModel(ClassifierHandle):
         return self.inner.score_batch(xs)
 
 
-@pytest.mark.parametrize("explain", [
-    lambda x0, ctx: explain_nice(x0, RewardKind.SPARSITY, ctx),
-    lambda x0, ctx: explain_nice(x0, RewardKind.PROXIMITY, ctx),
-    lambda x0, ctx: explain_nice(x0, RewardKind.PLAUSIBILITY, ctx),
-    explain_sedc,
-], ids=["nice-spars", "nice-prox", "nice-plaus", "sedc"])
-def test_source_scored_once(scripted_model_cls, explain):
+ALL_EXPLAINERS = {
+    **{f"nice-{kind.value}": lambda x0, ctx, kind=kind: explain_nice(x0, kind, ctx)
+       for kind in RewardKind},
+    "wit": explain_wit,
+    "sedc": explain_sedc,
+    "cbr": explain_cbr,
+}
+
+
+def one_flip_context(scripted_model_cls, p0):
+    """A context over four rows, one of class 1, whose model scores ("a", "a", "a") at ``p0``.
+
+    The source's anchor, mean/mode instance and cbr pairs all lie one or two
+    features away, and every explainer flips a source of class 1. The model
+    counts how often it scores the source.
+    """
     x0 = ("a", "a", "a")
-    train = Dataset(cat_schema(3), [("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b")],
-                    labels=[0, 0, 0])
-    model = CountingModel(scripted_model_cls({x0: 0.9}, default=0.2), x0)
+    flipped = ("c", "a", "a")  # the only class-1 row; it makes two cbr pairs
+    train = Dataset(cat_schema(3), [("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b"), flipped],
+                    labels=[0, 0, 0, 1])
+    model = CountingModel(scripted_model_cls({x0: p0, flipped: 0.9}, default=0.2), x0)
     ctx = SearchContext(train, fit_stats(train), model, scorer=lambda x: 1.0)
     ctx.warm()
+    return x0, ctx
+
+
+@pytest.mark.parametrize("explain", ALL_EXPLAINERS.values(), ids=ALL_EXPLAINERS)
+def test_source_scored_once(scripted_model_cls, explain):
+    x0, ctx = one_flip_context(scripted_model_cls, 0.9)
     expl = explain(x0, ctx)
     assert expl.valid
-    assert model.count == 1
+    assert ctx.model.count == 1
+
+
+@pytest.mark.parametrize("explain", ALL_EXPLAINERS.values(), ids=ALL_EXPLAINERS)
+def test_source_scored_one_half_is_class_one(scripted_model_cls, explain):
+    # Every explainer classifies its source as the handle's predict does.
+    x0, ctx = one_flip_context(scripted_model_cls, 0.5)
+    assert ctx.model.predict(x0) == 1
+    expl = explain(x0, ctx)
+    assert expl.valid
+    assert ctx.model.predict(expl.counterfactual) == 0
 
 
 def value_hash(x, salt=b""):
@@ -497,16 +523,6 @@ class TestSedc:
         assert expl.counterfactual == ("a", "a")  # everything replaced
         assert expl.changed_features == {0, 1}
 
-    def test_max_iters_caps_search(self, scripted_model_cls):
-        train = Dataset(cat_schema(2), [("a", "a"), ("b", "b")], labels=[1, 1])
-        stats = fit_stats(train)
-        ctx = SearchContext(train, stats, scripted_model_cls({}, default=0.9))
-        expl = explain_sedc(("b", "b"), ctx, max_iters=1)
-        assert not expl.valid
-        assert len(expl.trace) == 1
-        with pytest.raises(ConfigError):
-            explain_sedc(("b", "b"), ctx, max_iters=0)
-
     def test_flip_guarantee_when_mean_mode_is_opposite(self, quantized_dataset):
         stats = fit_stats(quantized_dataset)
         model = train_logistic(stats, quantized_dataset)
@@ -625,8 +641,6 @@ class TestSearchContext:
     def test_validation(self, mixed_dataset, scripted_model_cls):
         stats = fit_stats(mixed_dataset)
         model = scripted_model_cls({}, default=0.5)
-        with pytest.raises(ConfigError):
-            SearchContext(mixed_dataset, stats, model, epsilon=0.0)
         with pytest.raises(ConfigError):
             SearchContext(mixed_dataset, stats[:-1], model)
 

@@ -59,7 +59,9 @@ class TestSubprocess:
         finally:
             handle.close()
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    # 10**400 is an int too large for a float.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
     def test_non_finite_number_never_sent(self, bad):
         handle = external_model(worker_spec(COUNTER), batch_size=1)
         try:

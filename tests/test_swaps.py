@@ -202,17 +202,18 @@ class TestLogisticSwaps:
         table, current, target, features = problem
         stats, model, _ = fitted(table)
         hybrids = swap_hybrids(current, target, features)
-        swapped = hexes(model.score_swaps(current, target, features))
+        swapped = hexes(model.swap_state(current, target).scores(features))
         assert swapped == hexes(model.score_batch(hybrids))
         assert swapped == hexes(logistic_reference(model, h) for h in hybrids)
-        assert swapped == hexes(ScoreBatchOnly(model).score_swaps(current, target, features))
+        assert swapped == hexes(ScoreBatchOnly(model).swap_state(current, target).scores(features))
 
     @settings(max_examples=50, deadline=None)
     @given(wide_steps())
     def test_matches_one_dot_product_per_row_on_wide_data(self, step):
         _, _, model, _ = wide()
-        hybrids = swap_hybrids(*step)
-        swapped = hexes(model.score_swaps(*step))
+        current, target, features = step
+        hybrids = swap_hybrids(current, target, features)
+        swapped = hexes(model.swap_state(current, target).scores(features))
         assert swapped == hexes(model.score_batch(hybrids))
         assert swapped == hexes(logistic_reference(model, h) for h in hybrids)
 
@@ -265,7 +266,7 @@ def test_unseen_category_in_current_raises_on_both_paths(problem):
     stats, model, ae = fitted(table)
     hybrids = swap_hybrids(current, target, features)
     with pytest.raises(EncodeError):
-        model.score_swaps(current, target, features)
+        model.swap_state(current, target).scores(features)
     with pytest.raises(EncodeError):
         model.score_batch(hybrids)
     with pytest.raises(EncodeError):

@@ -11,9 +11,9 @@ from nicecf.tabular import (
     FeatureKind,
     FeatureSpec,
     FeatureStats,
+    _EncodingPlan,
     encode,
     encode_batch,
-    encoded_width,
     fit_stats,
     load_dataset,
     split,
@@ -239,7 +239,7 @@ class TestSplit:
 
 class TestEncode:
     def test_width(self, tiny_stats):
-        assert encoded_width(tiny_stats) == 1 + 3
+        assert _EncodingPlan(tiny_stats).width == 1 + 3
 
     def test_values(self, tiny_stats):
         v = encode(tiny_stats, (25.0, "green"))
