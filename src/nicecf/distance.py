@@ -9,6 +9,10 @@ and default to 1.
 
 Vectorized scans against a dataset accumulate per-feature terms in schema
 order so their sums are bit-identical to the scalar path.
+
+:func:`heom` and :func:`heom_to_rows` raise :class:`EncodeError` for an
+instance that breaks the statistics' row rule (names and kinds, no category
+sets), which an encoding plan brings compiled.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DistanceError, NoUnlikeNeighborError
-from .tabular import _OUT_OF_RANGE, Dataset, FeatureKind, FeatureStats, Instance
+from .tabular import _OUT_OF_RANGE, Dataset, FeatureKind, FeatureStats, Instance, _stats_rule
 
 
 def check_weights(stats: Sequence[FeatureStats], weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -62,6 +66,9 @@ def heom(
     """Weighted L1 sum of per-feature distances between two instances."""
     if len(a) != len(stats) or len(b) != len(stats):
         raise DistanceError("instance length does not match statistics")
+    rule = _stats_rule(stats)
+    rule.check(a)
+    rule.check(b)
     w = check_weights(stats, weights)
     total = 0.0
     for stat, wj, aj, bj in zip(stats, w, a, b):
@@ -82,6 +89,7 @@ def heom_to_rows(
     """
     if len(x) != len(stats):
         raise DistanceError("instance length does not match statistics")
+    _stats_rule(stats).check(x)
     if tuple(s.name for s in stats) != tuple(s.name for s in dataset.schema):
         raise DistanceError("statistics do not match the dataset schema")
     w = check_weights(stats, weights)

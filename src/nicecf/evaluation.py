@@ -39,8 +39,9 @@ class MetricRecord:
     """Metrics of one explanation attempt.
 
     The quality fields are None when the attempt was invalid; ``time_ms``
-    is always present (the attempt still took time). ``robust`` is filled
-    only by the cross-model harness.
+    is always present (the attempt still took time). No code in this
+    package sets ``robust``, so its ``records.csv`` column stays empty; the
+    ``robustness`` command writes ``robustness.json`` instead.
     """
 
     instance_id: int

@@ -53,7 +53,7 @@ from .distance import (
 from .errors import ConfigError, NoUnlikeNeighborError
 from .model import ClassifierHandle
 from .plausibility import PlausibilityScorer, swap_state
-from .tabular import Dataset, FeatureKind, FeatureStats, Instance
+from .tabular import Dataset, FeatureKind, FeatureStats, Instance, _plan
 
 
 class RewardKind(Enum):
@@ -101,8 +101,9 @@ class SearchContext:
     """Shared read-only state for a batch of explanations.
 
     Bundles the training data, fitted statistics, the model handle, feature
-    cost weights and an optional plausibility scorer. The mean/mode instance
-    is computed up front; the model-dependent state (training-set
+    cost weights and an optional plausibility scorer; ``stats`` is kept as
+    an encoding plan, whose row rule the distance scans reuse. The mean/mode
+    instance is computed up front; the model-dependent state (training-set
     predictions, the case base of near-duplicate cross-class pairs) is
     computed lazily under a lock, so one context can serve many threads.
     """
@@ -118,7 +119,7 @@ class SearchContext:
         if len(stats) != train.n_features:
             raise ConfigError("statistics do not match the training schema")
         self.train = train
-        self.stats: tuple[FeatureStats, ...] = tuple(stats)
+        self.stats: tuple[FeatureStats, ...] = _plan(stats)
         self.model = model
         self.weights = check_weights(stats, weights)
         self.scorer = scorer

@@ -8,7 +8,8 @@ numeric encoding used by the built-in classifiers and the autoencoder.
 
 Encoding is min-max scaling to [0, 1] for numerical features (training range;
 values outside the training range are NOT clipped) and one-hot over the
-training category set for categorical features.
+training category set for categorical features, where a label outside that
+set (still one the schema allows) encodes as all zeros.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ class FeatureKind(Enum):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Declared identity of one column: name, kind, optional closed category set.
+    """Declared identity of one column: name, kind, optional declared category set.
 
     ``categories`` is only set when the schema file pre-declares the allowed
-    labels; otherwise ingestion accepts any label and the category universe is
-    established later by :func:`fit_stats` on the training split.
+    labels; it is the only category set that rejects a label. The labels
+    :func:`fit_stats` finds in the training split lay out the encoding alone.
     """
 
     name: str
@@ -153,16 +154,18 @@ class _RowRule:
     """The value rule for rows over a list of features, compiled once.
 
     Built from a schema's :class:`FeatureSpec` list (category sets as
-    declared, or none) or from :class:`FeatureStats` (the training category
-    sets). A row holds one value per feature. A numerical value is a finite
-    float or an int that fits one, not a bool; a categorical value is a str,
-    one of the feature's categories when it has a set. Threads may share it.
+    declared, or none) or from :class:`FeatureStats` (names and kinds only:
+    the training category sets reject nothing). A row holds one value per
+    feature. A numerical value is a finite float or an int that fits one,
+    not a bool; a categorical value is a str, one of the feature's declared
+    categories when it has a set. Threads may share it.
     """
 
     def __init__(self, specs: Sequence[FeatureSpec] | Sequence[FeatureStats]):
         self._fields = tuple(
             (s.name, s.kind is FeatureKind.NUMERICAL,
-             None if s.categories is None else frozenset(s.categories)) for s in specs)
+             frozenset(s.categories) if isinstance(s, FeatureSpec) and s.categories is not None
+             else None) for s in specs)
 
     def problem(self, row: Instance) -> tuple[str, str | None] | None:
         """The first way ``row`` breaks the rule as (message, feature name), or None."""
@@ -286,7 +289,7 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
 
 
 def fit_stats(train: Dataset) -> list[FeatureStats]:
-    """Per-feature training statistics; the category universe becomes closed.
+    """Per-feature training statistics; their category sets lay out the encoding only.
 
     Mode ties break toward the lexicographically smallest label. Numerical
     std is the population standard deviation.
@@ -357,8 +360,8 @@ class _EncodingPlan(tuple):
     """Fitted statistics with their row rule and encoding layout, worked out once.
 
     A tuple of the same :class:`FeatureStats`, so it stands wherever the
-    statistics do. It also holds ``rule``, the statistics' :class:`_RowRule`
-    (a category must be one the training split holds), the encoded ``width``,
+    statistics do. It also holds ``rule``, the :class:`_RowRule` of the
+    features' names and kinds (no category sets), the encoded ``width``,
     per feature its ``slots`` (a slice) and its ``fields`` (first slot,
     category->slot dict or None, min, range), and ``owner``, the feature index
     of each slot. :func:`encode` and :func:`encode_batch` read the rule and
@@ -392,22 +395,28 @@ def _plan(stats: Sequence[FeatureStats]) -> _EncodingPlan:
     return stats if isinstance(stats, _EncodingPlan) else _EncodingPlan(stats)
 
 
+def _stats_rule(stats: Sequence[FeatureStats]) -> _RowRule:
+    """The row rule of fitted statistics: a plan's, or compiled afresh (cheaper than a plan)."""
+    return stats.rule if isinstance(stats, _EncodingPlan) else _RowRule(stats)
+
+
 def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
     """Numeric encoding of one instance against fitted statistics.
 
     Min-max scaling for numerical features (a zero training range emits 0,
     out-of-range values are not clipped), one-hot in stored category order
-    for categorical features. An instance that breaks the statistics' row
-    rule (a category the training split never held included) raises
-    :class:`EncodeError`. Each feature's slots depend on that feature's value
-    alone.
+    for categorical features; a category the training split never held
+    leaves all of its feature's slots at 0. An instance that breaks the
+    statistics' row rule raises :class:`EncodeError`. Each feature's slots
+    depend on that feature's value alone.
     """
     plan = _plan(stats)
     plan.rule.check(x)
     out = [0.0] * plan.width  # a list is filled faster than an array, and converts exactly
     for (pos, index, lo, span), value in zip(plan.fields, x):
         if index is not None:
-            out[index[value]] = 1.0
+            if value in index:
+                out[index[value]] = 1.0
         elif span > 0.0:
             out[pos] = (value - lo) / span
     return np.array(out, dtype=np.float64)
@@ -430,7 +439,8 @@ def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.nd
                 out[:, pos] = (np.asarray([x[j] for x in xs], dtype=np.float64) - lo) / span
         else:
             for i, x in enumerate(xs):
-                out[i, index[x[j]]] = 1.0
+                if x[j] in index:
+                    out[i, index[x[j]]] = 1.0
     return out
 
 

@@ -107,8 +107,9 @@ def swap_problems(draw, numbers=NUMBERS):
     """A labeled random table, plus a greedy-search step to score over it.
 
     Returns (table, current, target, features). ``current`` is a table
-    row with some values replaced by the extra instance's, wherever those
-    are encodable (out-of-range numbers included). ``target`` is a table row.
+    row with some values replaced by the extra instance's, which may be
+    numbers outside the table's range or a category it lacks. ``target`` is
+    a table row.
     ``features`` may skip, repeat or reorder positions. Numbers are drawn
     from ``numbers``.
     """
@@ -118,12 +119,7 @@ def swap_problems(draw, numbers=NUMBERS):
     table = Dataset(table.schema, table.rows, labels)
     row = draw(st.sampled_from(table.rows))
     replace = draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    current = tuple(
-        extra[j] if replace[j] and (
-            spec.kind is FeatureKind.NUMERICAL or extra[j] in {r[j] for r in table.rows}
-        ) else row[j]
-        for j, spec in enumerate(table.schema)
-    )
+    current = tuple(extra[j] if replace[j] else row[j] for j in range(m))
     target = draw(st.sampled_from(table.rows))
     features = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
     return table, current, target, features

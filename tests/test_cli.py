@@ -16,7 +16,7 @@ import nicecf.cli
 from nicecf.cli import run_command
 from nicecf.plausibility import ae_scorer, load_ae
 from nicecf.synthetic import make_dataset, save_dataset
-from nicecf.tabular import fit_stats, load_dataset
+from nicecf.tabular import Dataset, FeatureSpec, fit_stats, load_dataset, split
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +350,28 @@ class TestBenchmark:
         code = self.run_benchmark(data_files, tmp_path, "--test-fraction", "0.01")
         assert code == 1
         assert "both must be non-empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["builtin:logistic", "builtin:knn:3"])
+    def test_category_only_the_test_split_holds(self, tmp_path, model, capsys):
+        # The schema declares 'z' for cat0 and only row 4 holds it; at seed 1
+        # that row is a test row, so the training statistics never see 'z'.
+        data = make_dataset(80, 2, 2, seed=3)
+        j = [s.name for s in data.schema].index("cat0")
+        schema = [FeatureSpec(s.name, s.kind, s.categories + ("z",)) if s.name == "cat0" else s
+                  for s in data.schema]
+        rows = list(data.rows)
+        rows[4] = rows[4][:j] + ("z",) + rows[4][j + 1:]
+        data = Dataset(schema, rows, data.labels)
+        files = str(tmp_path / "schema.json"), str(tmp_path / "data.csv")
+        save_dataset(data, *files)
+        train, test = split(load_dataset(*files), 0.2, seed=1)
+        assert "z" not in fit_stats(train)[j].categories
+        assert rows[4] in test.rows
+        code = run_command(["benchmark", *common(files), "--model", model, "--seed", "1",
+                            "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["instances"] == len(test)
 
 
 class TestRobustness:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import nicecf.tabular
-from nicecf.errors import EncodeError, NoUnlikeNeighborError
+from nicecf.errors import NoUnlikeNeighborError
 from nicecf.explainers import RewardKind, SearchContext, explain_nice, explain_sedc
 from nicecf.model import ClassifierHandle, train_logistic
 from nicecf.plausibility import AEConfig, ae_error, ae_scorer, swap_state, train_autoencoder
@@ -62,7 +62,10 @@ def wide_steps(draw):
 
 
 def reference_encode(stats, x):
-    """The encoding worked out afresh on every call: slot counts, then ``tuple.index``."""
+    """The encoding worked out afresh on every call: slot counts, then ``tuple.index``.
+
+    A category the statistics lack sets none of its feature's slots.
+    """
     widths = [1 if s.kind is FeatureKind.NUMERICAL else len(s.categories) for s in stats]
     out = np.zeros(sum(widths), dtype=np.float64)
     pos = 0
@@ -70,7 +73,7 @@ def reference_encode(stats, x):
         if stat.kind is FeatureKind.NUMERICAL:
             if stat.range > 0.0:
                 out[pos] = (value - stat.min) / stat.range
-        else:
+        elif value in stat.categories:
             out[pos + stat.categories.index(value)] = 1.0
         pos += width
     return out
@@ -255,7 +258,7 @@ class TestAeSwaps:
 
 @settings(max_examples=100, deadline=None)
 @given(swap_problems())
-def test_unseen_category_in_current_raises_on_both_paths(problem):
+def test_unseen_category_in_current_scores_the_same_on_every_path(problem):
     table, current, target, features = problem
     categorical = [j for j, s in enumerate(table.schema) if s.kind is FeatureKind.CATEGORICAL]
     assume(categorical)
@@ -265,14 +268,12 @@ def test_unseen_category_in_current_raises_on_both_paths(problem):
     current = current[:k] + ("unseen",) + current[k + 1 :]
     stats, model, ae = fitted(table)
     hybrids = swap_hybrids(current, target, features)
-    with pytest.raises(EncodeError):
-        model.swap_state(current, target).scores(features)
-    with pytest.raises(EncodeError):
-        model.score_batch(hybrids)
-    with pytest.raises(EncodeError):
-        scored_swaps(ae_scorer(ae, stats), current, target, features)
-    with pytest.raises(EncodeError):
-        [ae_error(ae, stats, h) for h in hybrids]
+    swapped = hexes(model.swap_state(current, target).scores(features))
+    assert swapped == hexes(model.score_batch(hybrids))
+    assert swapped == hexes(logistic_reference(model, h) for h in hybrids)
+    swapped = hexes(scored_swaps(ae_scorer(ae, stats), current, target, features))
+    assert swapped == hexes(ae_error(ae, stats, h) for h in hybrids)
+    assert swapped == hexes(ae_reference(ae, stats, h) for h in hybrids)
 
 
 @settings(max_examples=60, deadline=None)

@@ -256,9 +256,12 @@ class TestEncode:
         assert encode(stats, (5.0,)).tolist() == [0.0]
         assert encode(stats, (9.0,)).tolist() == [0.0]
 
-    def test_unseen_category_rejected(self, tiny_stats):
-        with pytest.raises(EncodeError):
-            encode(tiny_stats, (25.0, "purple"))
+    def test_unseen_category_encodes_as_zeros(self, tiny_stats):
+        # Only a schema's declared set may reject a label; to the statistics
+        # a label training never held is no slot, as HEOM counts it a mismatch.
+        assert encode(tiny_stats, (25.0, "purple")).tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert encode_batch(tiny_stats, [(25.0, "purple"), (25.0, "green")]).tolist() == [
+            [0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0]]
 
     def test_length_mismatch_rejected(self, tiny_stats):
         with pytest.raises(EncodeError):
