@@ -11,8 +11,8 @@ Vectorized scans against a dataset accumulate per-feature terms in schema
 order so their sums are bit-identical to the scalar path.
 
 :func:`heom` and :func:`heom_to_rows` raise :class:`EncodeError` for an
-instance that breaks the statistics' row rule (names and kinds, no category
-sets), which an encoding plan brings compiled.
+instance that breaks the row rule of the statistics' encoding plan (the
+training schema's, for :func:`fit_stats` output).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DistanceError, NoUnlikeNeighborError
-from .tabular import _OUT_OF_RANGE, Dataset, FeatureKind, FeatureStats, Instance, _stats_rule
+from .tabular import _OUT_OF_RANGE, Dataset, FeatureKind, FeatureStats, Instance, _plan
 
 
 def check_weights(stats: Sequence[FeatureStats], weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -66,7 +66,7 @@ def heom(
     """Weighted L1 sum of per-feature distances between two instances."""
     if len(a) != len(stats) or len(b) != len(stats):
         raise DistanceError("instance length does not match statistics")
-    rule = _stats_rule(stats)
+    rule = _plan(stats).rule
     rule.check(a)
     rule.check(b)
     w = check_weights(stats, weights)
@@ -89,7 +89,7 @@ def heom_to_rows(
     """
     if len(x) != len(stats):
         raise DistanceError("instance length does not match statistics")
-    _stats_rule(stats).check(x)
+    _plan(stats).rule.check(x)
     if tuple(s.name for s in stats) != tuple(s.name for s in dataset.schema):
         raise DistanceError("statistics do not match the dataset schema")
     w = check_weights(stats, weights)

@@ -35,6 +35,7 @@ whatever the model), starts its clock and scores the source once.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -300,10 +301,10 @@ def _greedy_toward(
     ``x0`` toward ``target``, and the ascending list of features still
     differing from the target. Each iteration scores one candidate per
     listed feature, in one ``scores`` call to each state, keeps the reward
-    argmax (ties to the smallest feature index), ``take``s it and drops it
-    from the list. The search stops at the first flip or when nothing is
-    left to copy. Returns (counterfactual, trace, valid), where valid means
-    the class flipped.
+    argmax (a NaN reward ranks below every number; ties go to the smallest
+    feature index), ``take``s it and drops it from the list. The search
+    stops at the first flip or when nothing is left to copy. Returns
+    (counterfactual, trace, valid), where valid means the class flipped.
     """
     c0 = _predicted(p0)
     y_hat = 1 if c0 == 1 else -1
@@ -330,7 +331,9 @@ def _greedy_toward(
                 kind, ctx, y_hat, p_prev, float(p_cands[i]), j,
                 x0[j], target[j], ae_prev, ae_cands[i],
             )
-            if best_reward is None or r > best_reward:
+            # A NaN reward (inf - inf in the plausibility product) ranks below every number.
+            if best_reward is None or r > best_reward or (
+                    math.isnan(best_reward) and not math.isnan(r)):
                 best, best_reward = i, r
         chosen_j = remaining.pop(best)
         p_prev = float(p_cands[best])

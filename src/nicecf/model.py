@@ -45,8 +45,8 @@ from .tabular import (
     FeatureStats,
     HybridSwaps,
     Instance,
-    _EncodingPlan,
     _OUT_OF_RANGE,
+    _plan,
     encode,
     encode_batch,
 )
@@ -89,7 +89,7 @@ class LogisticHandle(ClassifierHandle):
     """Logistic regression over the numeric encoding."""
 
     def __init__(self, stats: Sequence[FeatureStats], coef: np.ndarray, intercept: float):
-        self.stats = _EncodingPlan(stats)
+        self.stats = _plan(stats)
         self.coef = np.asarray(coef, dtype=np.float64)
         self.intercept = float(intercept)
 
@@ -154,8 +154,8 @@ class KnnHandle(ClassifierHandle):
     :func:`k_smallest`, not by sorting all its distances. Scores are
     bit-identical to ``heom_to_rows`` followed by a full (distance, row index)
     sort, one row at a time. A row of the wrong length raises
-    :class:`DistanceError`; any other row that breaks the training schema's
-    row rule raises :class:`EncodeError`, before any distance is taken.
+    :class:`DistanceError`; any other row that breaks ``train.rule`` (which
+    ``fit_stats(train)`` carries too) raises :class:`EncodeError`, first.
     """
 
     CHUNK_ROWS = 64

@@ -35,7 +35,7 @@ from .tabular import (
     FeatureStats,
     HybridSwaps,
     Instance,
-    _EncodingPlan,
+    _plan,
     encode,
     encode_batch,
     fit_stats,
@@ -171,7 +171,11 @@ def train_autoencoder(
 
 
 def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
-    """Mean squared difference between encode(x) and its reconstruction."""
+    """Mean squared difference between encode(x) and its reconstruction.
+
+    ``inf`` when the square overflows: unclipped scaling encodes a value far
+    outside a tiny training range as a huge number.
+    """
     return _vector_error(ae, encode(stats, x))
 
 
@@ -191,7 +195,7 @@ class AEScorer:
 
     def __init__(self, ae: AEModel, stats: Sequence[FeatureStats]):
         self.ae = ae
-        self.stats = _EncodingPlan(stats)
+        self.stats = _plan(stats)
 
     def __call__(self, x: Instance) -> float:
         return ae_error(self.ae, self.stats, x)
@@ -254,5 +258,5 @@ def load_ae(path: str | Path) -> AEModel:
             np.asarray(doc["b2"], dtype=np.float64),
             config,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"autoencoder file is malformed: {exc}") from exc

@@ -151,21 +151,18 @@ class Dataset:
 
 
 class _RowRule:
-    """The value rule for rows over a list of features, compiled once.
+    """The value rule for rows over a schema's :class:`FeatureSpec` list, compiled once.
 
-    Built from a schema's :class:`FeatureSpec` list (category sets as
-    declared, or none) or from :class:`FeatureStats` (names and kinds only:
-    the training category sets reject nothing). A row holds one value per
-    feature. A numerical value is a finite float or an int that fits one,
-    not a bool; a categorical value is a str, one of the feature's declared
-    categories when it has a set. Threads may share it.
+    A row holds one value per feature. A numerical value is a finite float
+    or an int that fits one, not a bool; a categorical value is a str, one
+    of the feature's declared categories when it has a set. Threads may
+    share it.
     """
 
-    def __init__(self, specs: Sequence[FeatureSpec] | Sequence[FeatureStats]):
+    def __init__(self, specs: Sequence[FeatureSpec]):
         self._fields = tuple(
             (s.name, s.kind is FeatureKind.NUMERICAL,
-             frozenset(s.categories) if isinstance(s, FeatureSpec) and s.categories is not None
-             else None) for s in specs)
+             None if s.categories is None else frozenset(s.categories)) for s in specs)
 
     def problem(self, row: Instance) -> tuple[str, str | None] | None:
         """The first way ``row`` breaks the rule as (message, feature name), or None."""
@@ -288,11 +285,11 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
     return Dataset(specs, rows, labels)
 
 
-def fit_stats(train: Dataset) -> list[FeatureStats]:
-    """Per-feature training statistics; their category sets lay out the encoding only.
+def fit_stats(train: Dataset) -> tuple[FeatureStats, ...]:
+    """Per-feature training statistics, as an encoding plan carrying ``train.rule``.
 
-    Mode ties break toward the lexicographically smallest label. Numerical
-    std is the population standard deviation.
+    Their category sets lay out the encoding only. Mode ties break toward the
+    lexicographically smallest label; numerical std is the population one.
     """
     if len(train) == 0:
         raise StatsError("cannot fit statistics on an empty dataset")
@@ -324,7 +321,7 @@ def fit_stats(train: Dataset) -> list[FeatureStats]:
             stats.append(
                 FeatureStats(name=spec.name, kind=spec.kind, categories=categories, mode=mode)
             )
-    return stats
+    return _EncodingPlan(stats, train.rule)
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -360,16 +357,16 @@ class _EncodingPlan(tuple):
     """Fitted statistics with their row rule and encoding layout, worked out once.
 
     A tuple of the same :class:`FeatureStats`, so it stands wherever the
-    statistics do. It also holds ``rule``, the :class:`_RowRule` of the
-    features' names and kinds (no category sets), the encoded ``width``,
-    per feature its ``slots`` (a slice) and its ``fields`` (first slot,
-    category->slot dict or None, min, range), and ``owner``, the feature index
-    of each slot. :func:`encode` and :func:`encode_batch` read the rule and
-    the layout from a plan when given one and build one otherwise. A plan
+    statistics do. It also holds ``rule``, the :class:`_RowRule` given (from
+    :func:`fit_stats`, the training schema's) or else one of names and kinds
+    only; the encoded ``width``, per feature its ``slots`` (a slice) and its
+    ``fields`` (first slot, category->slot dict or None, min, range), and
+    ``owner``, the feature index of each slot. Every encoding and distance function reads the rule and
+    the layout from a plan when given one and builds one otherwise. A plan
     never changes after it is built, so threads may share it.
     """
 
-    def __new__(cls, stats: Sequence[FeatureStats]) -> "_EncodingPlan":
+    def __new__(cls, stats: Sequence[FeatureStats], rule: _RowRule | None = None):
         plan = super().__new__(cls, stats)
         fields, slots, pos = [], [], 0
         for stat in plan:
@@ -382,7 +379,7 @@ class _EncodingPlan(tuple):
                 width = len(stat.categories)
             slots.append(slice(pos, pos + width))
             pos += width
-        plan.rule = _RowRule(plan)
+        plan.rule = rule or _RowRule([FeatureSpec(s.name, s.kind) for s in plan])
         plan.width = pos
         plan.fields = tuple(fields)
         plan.slots = tuple(slots)
@@ -395,11 +392,6 @@ def _plan(stats: Sequence[FeatureStats]) -> _EncodingPlan:
     return stats if isinstance(stats, _EncodingPlan) else _EncodingPlan(stats)
 
 
-def _stats_rule(stats: Sequence[FeatureStats]) -> _RowRule:
-    """The row rule of fitted statistics: a plan's, or compiled afresh (cheaper than a plan)."""
-    return stats.rule if isinstance(stats, _EncodingPlan) else _RowRule(stats)
-
-
 def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
     """Numeric encoding of one instance against fitted statistics.
 
@@ -407,7 +399,7 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
     out-of-range values are not clipped), one-hot in stored category order
     for categorical features; a category the training split never held
     leaves all of its feature's slots at 0. An instance that breaks the
-    statistics' row rule raises :class:`EncodeError`. Each feature's slots
+    plan's row rule raises :class:`EncodeError`. Each feature's slots
     depend on that feature's value alone.
     """
     plan = _plan(stats)
@@ -425,7 +417,7 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
 def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:
     """Encode many instances into a (n, encoded width) matrix.
 
-    Each instance is held to the statistics' row rule first, as in
+    Each instance is held to the plan's row rule first, as in
     :func:`encode`; then the matrix is filled a column at a time. Each row
     is bit-identical to :func:`encode` of that instance.
     """

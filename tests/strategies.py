@@ -14,6 +14,8 @@ FEW_NUMBERS = st.sampled_from((0.0, 0.5, 1.0, 2.0))
 # Ints are numbers too; they must encode as their float values do.
 INTS_OR_FLOATS = st.one_of(NUMBERS, st.integers(-1000, 1000))
 CATEGORIES = ("a", "b", "c")
+# The category set a schema may declare: the table's labels plus one it never holds.
+DECLARED = CATEGORIES + ("unseen",)
 
 
 @st.composite
@@ -21,8 +23,10 @@ def mixed_tables(draw, min_rows=2, max_rows=10, numbers=NUMBERS):
     """A table over a random mixed schema, plus one instance over the same schema.
 
     Some numerical features are constant, so zero range and zero std both
-    occur. The extra instance may repeat a value of the table or carry a
-    number or category it never saw. Numbers are drawn from ``numbers``.
+    occur. Some categorical features declare the category set ``DECLARED``.
+    The extra instance may repeat a value of the table or carry a number or
+    category it never saw, always one the schema allows. Numbers are drawn
+    from ``numbers``.
     """
     kinds = draw(st.lists(st.sampled_from(("numerical", "constant", "categorical")),
                           min_size=1, max_size=5))
@@ -30,9 +34,10 @@ def mixed_tables(draw, min_rows=2, max_rows=10, numbers=NUMBERS):
     schema, columns, extra = [], [], []
     for j, kind in enumerate(kinds):
         if kind == "categorical":
-            schema.append(FeatureSpec(f"f{j}", FeatureKind.CATEGORICAL))
+            declared = DECLARED if draw(st.booleans()) else None
+            schema.append(FeatureSpec(f"f{j}", FeatureKind.CATEGORICAL, declared))
             column = draw(st.lists(st.sampled_from(CATEGORIES), min_size=n, max_size=n))
-            extra.append(draw(st.sampled_from(CATEGORIES + ("unseen",))))
+            extra.append(draw(st.sampled_from(DECLARED)))
         else:
             schema.append(FeatureSpec(f"f{j}", FeatureKind.NUMERICAL))
             if kind == "constant":
@@ -64,7 +69,8 @@ def rows_with_one_bad_value(draw):
 
     The row is a table row with the value at a random position replaced by
     one drawn from ``BAD_NUMERICAL`` or ``BAD_CATEGORICAL``, by that
-    feature's kind. Returns (table, row, feature name, message).
+    feature's kind, or by a label outside the feature's declared category
+    set when it has one. Returns (table, row, feature name, message).
     """
     table, _ = draw(mixed_tables())
     n = len(table)
@@ -75,7 +81,11 @@ def rows_with_one_bad_value(draw):
     spec = table.schema[j]
     bad = BAD_NUMERICAL if spec.kind is FeatureKind.NUMERICAL else BAD_CATEGORICAL
     value, message = draw(st.sampled_from(bad))
-    return table, row[:j] + (value,) + row[j + 1:], spec.name, message.format(spec.name)
+    message = message.format(spec.name)
+    if spec.categories is not None and draw(st.booleans()):
+        value = draw(st.text(max_size=3).filter(lambda v: v not in spec.categories))
+        message = f"unknown category '{value}' for '{spec.name}'"
+    return table, row[:j] + (value,) + row[j + 1:], spec.name, message
 
 
 @st.composite

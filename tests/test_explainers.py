@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -229,6 +230,30 @@ class TestNiceGeneral:
         ctx = SearchContext(train, stats, scripted_model_cls({}, default=0.9))
         with pytest.raises(ConfigError):
             explain_nice(("a",), RewardKind.PLAUSIBILITY, ctx)
+
+    def test_nan_reward_loses_to_any_number(self, scripted_model_cls):
+        # The scorer's inf at the source and at every candidate with a > 1
+        # makes those candidates' plausibility rewards inf - inf = nan.
+        schema = [FeatureSpec("c", FeatureKind.CATEGORICAL),
+                  FeatureSpec("a", FeatureKind.NUMERICAL), FeatureSpec("b", FeatureKind.NUMERICAL)]
+        train = Dataset(schema, [("x", 0.0, 0.0), ("y", 1.0, 1.0)], labels=[0, 1])
+        x0 = ("x", 1000.0, 0.0)
+        model = scripted_model_cls(
+            {("x", 0.0, 0.0): 0.1, ("y", 1.0, 1.0): 0.9, x0: 0.1}, default=0.3)
+        scorer = lambda x: math.inf if x[1] > 1 else 0.0
+        ctx = SearchContext(train, fit_stats(train), model, scorer=scorer)
+        expl = explain_nice(x0, RewardKind.PLAUSIBILITY, ctx)
+        # Iteration 1 rewards are [nan, inf, nan]; iteration 2 ties at 0.0.
+        assert [(s.feature, s.reward) for s in expl.trace] == [(1, math.inf), (0, 0.0), (2, 0.0)]
+        assert expl.valid
+
+    def test_all_nan_rewards_tie_to_the_smallest_feature(self, scripted_model_cls):
+        train = Dataset(num_schema(2), [(0.0, 0.0), (1.0, 1.0)], labels=[0, 1])
+        model = scripted_model_cls({(0.0, 0.0): 0.1, (1.0, 1.0): 0.9}, default=0.3)
+        ctx = SearchContext(train, fit_stats(train), model, scorer=lambda x: math.inf)
+        expl = explain_nice((0.0, 0.0), RewardKind.PLAUSIBILITY, ctx)
+        assert [s.feature for s in expl.trace] == [0, 1]
+        assert all(math.isnan(s.reward) for s in expl.trace)
 
     def test_scorer_substitutability(self, mixed_dataset):
         stats = fit_stats(mixed_dataset)

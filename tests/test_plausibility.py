@@ -174,6 +174,13 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             load_ae(path)
 
+    @pytest.mark.parametrize("doc", ["[]", '"x"', '{"config": 3, "w1": [[0.0]]}'])
+    def test_file_of_the_wrong_shape(self, tmp_path, doc):
+        path = tmp_path / "ae.json"
+        path.write_text(doc)
+        with pytest.raises(ConfigError, match="autoencoder file is malformed: "):
+            load_ae(path)
+
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
             AEModel(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(2), AEConfig())

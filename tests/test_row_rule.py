@@ -1,6 +1,8 @@
 """One row rule: every built-in path rejects a bad value with the same message.
 
-Only a schema's declared category sets restrict labels, so a category the
+The rule is the schema's, compiled once by the training :class:`Dataset`;
+the statistics :func:`fit_stats` returns carry it to every other path. Only
+a schema's declared category sets restrict labels, so a category the
 training split lacks, like a number outside its range, is taken by every path.
 """
 
@@ -51,6 +53,7 @@ def test_every_path_gives_the_same_message(problem):
         "encode": lambda: encode(stats, bad),
         "encode_batch": lambda: encode_batch(stats, [good, bad]),
         "ae scorer": lambda: scorer(bad),
+        "ae swap state": lambda: swap_state(scorer, good, bad).scores(range(len(bad))),
         "heom": lambda: heom(stats, bad, good),
         "heom, second row": lambda: heom(stats, good, bad),
         "heom_to_rows": lambda: heom_to_rows(stats, bad, table),
@@ -61,12 +64,23 @@ def test_every_path_gives_the_same_message(problem):
         ctx = SearchContext(table, stats, model, scorer=scorer)
         calls[f"{model_name} score"] = lambda model=model: model.score(bad)
         calls[f"{model_name} score_batch"] = lambda model=model: model.score_batch([good, bad])
+        calls[f"{model_name} swap_state"] = (
+            lambda model=model: model.swap_state(good, bad).scores(range(len(bad))))
         for explainer, explain in EXPLAINERS.items():
             calls[f"{model_name} {explainer}"] = lambda explain=explain, ctx=ctx: explain(bad, ctx)
     assert {key: outcome(call) for key, call in calls.items()} == dict.fromkeys(calls, message)
     assert outcome(lambda: Dataset(table.schema, [good, bad]), IngestError) == (
         f"{message} (row=1, column={name!r})"
     )
+
+
+def test_fitted_statistics_are_one_plan_with_the_schema_rule(mixed_dataset):
+    stats = fit_stats(mixed_dataset)
+    assert stats.rule is mixed_dataset.rule
+    model = train_logistic(stats, mixed_dataset, epochs=5)
+    scorer = ae_scorer(train_autoencoder(mixed_dataset, AEConfig(epochs=1), stats), stats)
+    ctx = SearchContext(mixed_dataset, stats, model, scorer=scorer)
+    assert model.stats is stats and scorer.stats is stats and ctx.stats is stats
 
 
 def hexes(values):
