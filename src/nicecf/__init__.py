@@ -59,8 +59,6 @@ from .plausibility import (
     AEModel,
     ae_error,
     ae_scorer,
-    load_ae,
-    save_ae,
     train_autoencoder,
 )
 from .rng import SplitMix64
@@ -124,7 +122,6 @@ __all__ = [
     "heom",
     "heom_feature",
     "k_nearest",
-    "load_ae",
     "load_dataset",
     "load_schema",
     "make_dataset",
@@ -133,7 +130,6 @@ __all__ = [
     "rank_table",
     "render_report",
     "reward",
-    "save_ae",
     "save_dataset",
     "split",
     "summarize_records",

@@ -1,10 +1,9 @@
 """Command-line entry point for training, explaining, and benchmarking.
 
-Subcommands: ``describe`` (dataset statistics), ``train-ae`` (persist the
-plausibility autoencoder as JSON), ``explain`` (one instance or a capped
-batch, JSON output), ``benchmark`` (split, train, run a set of explainers,
-emit the report files), ``robustness`` (fraction of counterfactuals that
-survive a second model).
+Subcommands: ``describe`` (dataset statistics), ``explain`` (one instance
+or a capped batch, JSON output), ``benchmark`` (split, train, run a set of
+explainers, emit the report files), ``robustness`` (fraction of
+counterfactuals that survive a second model).
 
 Exit codes: 0 success, 1 usage or input error, 2 runtime failure. The
 ``NICE_LOG`` environment variable sets the logging level. All randomness
@@ -48,7 +47,7 @@ from .explainers import (
     explanation_to_dict,
 )
 from .model import ClassifierHandle, external_model, train_knn_classifier, train_logistic
-from .plausibility import AEConfig, ae_scorer, save_ae, train_autoencoder
+from .plausibility import AEConfig, ae_scorer, train_autoencoder
 from .tabular import (
     Dataset,
     FeatureKind,
@@ -97,16 +96,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nicecf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, model: bool = True) -> None:
+    def common(p: _Parser) -> None:
         p.add_argument("--schema", required=True, help="schema JSON file")
         p.add_argument("--data", required=True, help="CSV data file")
-        if model:
-            p.add_argument(
-                "--model",
-                action="append",
-                required=True,
-                help="builtin:logistic | builtin:knn:K | proc:CMD | http:URL",
-            )
+        p.add_argument(
+            "--model",
+            action="append",
+            required=True,
+            help="builtin:logistic | builtin:knn:K | proc:CMD | http:URL",
+        )
         p.add_argument("--weights", help="JSON file of per-feature cost weights")
         p.add_argument("--seed", type=int, default=0, help="seed for every stochastic step")
 
@@ -127,11 +125,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--schema", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_describe)
-
-    p = sub.add_parser("train-ae", help="fit the plausibility autoencoder and persist it")
-    common(p, model=False)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_train_ae)
 
     p = sub.add_parser("explain", help="explain one instance or a batch")
     common(p)
@@ -198,7 +191,7 @@ def _labeled(args) -> Dataset:
 
 
 def _load_weights(args, stats) -> tuple[float, ...] | None:
-    if not getattr(args, "weights", None):
+    if not args.weights:
         return None
     try:
         doc = json.loads(Path(args.weights).read_text())
@@ -332,16 +325,6 @@ def _cmd_describe(args) -> int:
         else:
             detail = f"{len(s.categories)} categories, mode='{s.mode}'"
         print(f"{s.name.ljust(name_width)}  {s.kind.value:<11}  {detail}")
-    return 0
-
-
-def _cmd_train_ae(args) -> int:
-    data = load_dataset(args.schema, args.data)
-    stats = fit_stats(data)
-    ae = train_autoencoder(data, AEConfig(seed=args.seed), stats)
-    path = _ensure_out(args) / "autoencoder.json"
-    save_ae(ae, path)
-    print(f"wrote {path} (final training loss {ae.loss_history[-1]:.6g})")
     return 0
 
 

@@ -234,7 +234,7 @@ def _json_safe(x: Instance) -> list:
 def _parse_scores(text: str, expected: int, origin: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also: over 4300 digits, too deep nesting
         raise ModelIOError(f"{origin}: reply is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("scores"), list):
         raise ModelIOError(f"{origin}: reply must be an object with a 'scores' list")
@@ -245,7 +245,11 @@ def _parse_scores(text: str, expected: int, origin: str) -> np.ndarray:
         )
     out = np.empty(expected, dtype=np.float64)
     for i, s in enumerate(scores):
-        if isinstance(s, bool) or not isinstance(s, (int, float)) or not math.isfinite(s):
+        try:
+            finite = not isinstance(s, bool) and isinstance(s, (int, float)) and math.isfinite(s)
+        except OverflowError:
+            raise ModelIOError(f"{origin}: score {i} is an {_OUT_OF_RANGE}") from None
+        if not finite:
             raise ModelIOError(f"{origin}: score {i} is not a finite number: {s!r}")
         if not 0.0 <= s <= 1.0:
             raise ModelIOError(f"{origin}: score {i} out of [0, 1]: {s}")
@@ -284,8 +288,10 @@ class SubprocessTransport:
                 proc.stdin.write(json.dumps(payload) + "\n")
                 proc.stdin.flush()
                 line = proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
+            except OSError as exc:
                 raise ModelIOError(f"worker '{self.command}' pipe failed: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ModelIOError(f"worker '{self.command}' reply is not UTF-8: {exc}") from exc
             if line == "":
                 raise ModelIOError(f"worker '{self.command}' closed its output")
             return _parse_scores(line, expected, f"worker '{self.command}'")

@@ -17,11 +17,9 @@ autoencoder scorer has one.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +36,6 @@ from .tabular import (
     _plan,
     encode,
     encode_batch,
-    fit_stats,
 )
 
 log = logging.getLogger(__name__)
@@ -64,7 +61,7 @@ class AEModel:
 
     ``w1`` is (m, h), ``w2`` is (h, m); hidden activation is the logistic
     sigmoid, the output layer is linear. ``loss_history`` holds the training
-    loss before each update (empty for models loaded from disk).
+    loss before each update (empty for models built by hand).
     """
 
     def __init__(
@@ -73,14 +70,12 @@ class AEModel:
         b1: np.ndarray,
         w2: np.ndarray,
         b2: np.ndarray,
-        config: AEConfig,
         loss_history: tuple[float, ...] = (),
     ):
         self.w1 = np.asarray(w1, dtype=np.float64)
         self.b1 = np.asarray(b1, dtype=np.float64)
         self.w2 = np.asarray(w2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
-        self.config = config
         self.loss_history = loss_history
         m, h = self.w1.shape
         if self.b1.shape != (h,) or self.w2.shape != (h, m) or self.b2.shape != (m,):
@@ -126,24 +121,17 @@ def loss_and_gradients(
 
 
 def train_autoencoder(
-    train: Dataset,
-    config: AEConfig | None = None,
-    stats: Sequence[FeatureStats] | None = None,
+    train: Dataset, config: AEConfig, stats: Sequence[FeatureStats]
 ) -> AEModel:
     """Fit the autoencoder on the encoded training rows.
 
     All parameters (both weight matrices, then both biases, in the order
     w1 row-major, b1, w2 row-major, b2) are initialized uniformly in
     [-0.1, 0.1] from a deterministic stream seeded by ``config.seed``, so
-    identical inputs always produce bit-identical models. Statistics default
-    to a fresh fit on ``train``.
+    identical inputs always produce bit-identical models.
     """
-    if config is None:
-        config = AEConfig()
     if len(train) < 2:
         raise TrainError("autoencoder training needs at least 2 rows")
-    if stats is None:
-        stats = fit_stats(train)
     X = encode_batch(stats, train.rows)
     if bool(np.all(X == X[0])):
         log.warning("all training rows encode identically; autoencoder will be degenerate")
@@ -167,7 +155,7 @@ def train_autoencoder(
         b1 = b1 - config.step * g_b1
         w2 = w2 - config.step * g_w2
         b2 = b2 - config.step * g_b2
-    return AEModel(w1, b1, w2, b2, config, tuple(history))
+    return AEModel(w1, b1, w2, b2, tuple(history))
 
 
 def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
@@ -222,41 +210,3 @@ def swap_state(scorer: PlausibilityScorer, current: Instance, target: Instance):
     if own is not None:
         return own(current, target)
     return HybridSwaps(current, target, lambda hybrids: [scorer(h) for h in hybrids])
-
-
-def save_ae(ae: AEModel, path: str | Path) -> None:
-    """Persist an autoencoder as JSON: layer sizes, row-major weights, biases, config."""
-    m, h = ae.w1.shape
-    doc = {
-        "layers": [m, h, m],
-        "w1": ae.w1.tolist(),
-        "b1": ae.b1.tolist(),
-        "w2": ae.w2.tolist(),
-        "b2": ae.b2.tolist(),
-        "config": {"epochs": ae.config.epochs, "step": ae.config.step, "seed": ae.config.seed},
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_ae(path: str | Path) -> AEModel:
-    """Load an autoencoder saved by :func:`save_ae`; shapes are re-validated."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"autoencoder file is not valid JSON: {exc}") from exc
-    try:
-        cfg = doc.get("config", {})
-        config = AEConfig(
-            epochs=int(cfg.get("epochs", 200)),
-            step=float(cfg.get("step", 0.05)),
-            seed=int(cfg.get("seed", 0)),
-        )
-        return AEModel(
-            np.asarray(doc["w1"], dtype=np.float64),
-            np.asarray(doc["b1"], dtype=np.float64),
-            np.asarray(doc["w2"], dtype=np.float64),
-            np.asarray(doc["b2"], dtype=np.float64),
-            config,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"autoencoder file is malformed: {exc}") from exc

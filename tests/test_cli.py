@@ -1,7 +1,6 @@
 import ast
 import csv
 import json
-import math
 import os
 import re
 import shutil
@@ -14,9 +13,9 @@ import pytest
 import nicecf
 import nicecf.cli
 from nicecf.cli import run_command
-from nicecf.plausibility import ae_scorer, load_ae
 from nicecf.synthetic import make_dataset, save_dataset
 from nicecf.tabular import Dataset, FeatureSpec, fit_stats, load_dataset, split
+from test_external_model import UNREADABLE_SCORES, replying_worker
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +117,6 @@ class TestParsing:
 # Every command that loads data, with the arguments it needs besides --schema/--data.
 LOADING_COMMANDS = {
     "describe": [],
-    "train-ae": ["--out", "{out}"],
     "explain": ["--model", "builtin:logistic", "--out", "{out}"],
     "benchmark": ["--model", "builtin:logistic", "--out", "{out}"],
     "robustness": ["--model", "builtin:logistic", "--model", "builtin:logistic",
@@ -161,14 +159,10 @@ class TestTrain:
         assert code == 1
         assert not (tmp_path / "model.json").exists()
 
-    def test_train_ae_artifact(self, data_files, tmp_path):
+    def test_train_ae_subcommand_removed(self, data_files, tmp_path, capsys):
         code = run_command(["train-ae", *common(data_files), "--out", str(tmp_path)])
-        assert code == 0
-        ae = load_ae(tmp_path / "autoencoder.json")
-        data = load_dataset(*data_files)
-        scorer = ae_scorer(ae, fit_stats(data))
-        value = scorer(data.rows[0])
-        assert value >= 0.0 and math.isfinite(value)
+        assert code == 1
+        assert not (tmp_path / "autoencoder.json").exists()
 
 
 class TestExplain:
@@ -372,6 +366,15 @@ class TestBenchmark:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["instances"] == len(test)
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_SCORES))
+    def test_unreadable_worker_reply_is_runtime_failure(self, data_files, tmp_path, name,
+                                                        capsys):
+        spec = replying_worker(UNREADABLE_SCORES[name][0])
+        code = run_command(["benchmark", *common(data_files), "--model", spec,
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: worker '")
 
 
 class TestRobustness:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import sys
 import threading
@@ -39,6 +40,32 @@ for line in sys.stdin:
 
 def worker_spec(body: str = WORKER) -> str:
     return f"proc:{sys.executable} -u -c '{body}'"
+
+
+# Scores that json.loads or float() reject with exceptions of their own, and
+# the ModelIOError message each must become.
+UNREADABLE_SCORES = {
+    "int-over-float-range": (b"9" * 400, "score 0 is an integer out of float range"),
+    "int-over-4300-digits": (b"1" * 4301, "reply is not valid JSON: Exceeds the limit"),
+    "nested-10000-deep": (b"[" * 10000, "reply is not valid JSON: maximum recursion depth"),
+    "not-utf8": (b"\xff", "reply is not UTF-8"),
+}
+
+
+# Worker that scores every instance as the raw bytes whose hex replaces SCORE.
+REPLYING = r"""
+import json, sys
+score = bytes.fromhex("SCORE")
+for line in sys.stdin:
+    n = len(json.loads(line)["instances"])
+    sys.stdout.buffer.write(json.dumps({"scores": [0] * n}).encode().replace(b"0", score))
+    sys.stdout.buffer.write(b"\n")
+    sys.stdout.buffer.flush()
+"""
+
+
+def replying_worker(score: bytes) -> str:
+    return worker_spec(REPLYING.replace("SCORE", score.hex()))
 
 
 class TestSubprocess:
@@ -108,6 +135,16 @@ for line in sys.stdin:
         finally:
             handle.close()
 
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_SCORES))
+    def test_unreadable_reply(self, name):
+        score, message = UNREADABLE_SCORES[name]
+        handle = external_model(replying_worker(score))
+        try:
+            with pytest.raises(ModelIOError, match=r"(?s)^worker '.*" + re.escape(message)):
+                handle.score((1.0,))
+        finally:
+            handle.close()
+
     def test_dead_worker(self):
         handle = external_model(f"proc:{sys.executable} -c 'pass'")
         try:
@@ -155,6 +192,7 @@ print(json.dumps({"scores": [0.5] * len(req["instances"])}), flush=True)
 
 class _Scorer(BaseHTTPRequestHandler):
     mode = "ok"
+    score = b""  # every instance's raw score in "score" mode
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -165,6 +203,9 @@ class _Scorer(BaseHTTPRequestHandler):
             return
         if self.mode == "garbage":
             body = b"not json"
+        elif self.mode == "score":
+            zeros = json.dumps({"scores": [0] * len(req["instances"])}).encode()
+            body = zeros.replace(b"0", self.score)
         else:
             scores = [0.25] * len(req["instances"])
             body = json.dumps({"scores": scores}).encode()
@@ -210,6 +251,16 @@ class TestHttp:
         _Scorer.mode = "garbage"
         handle = external_model(f"http:{http_scorer}")
         with pytest.raises(ModelIOError):
+            handle.score((1.0,))
+
+    # A body that is not UTF-8 was already a ModelIOError here: the decode sits in the try.
+    @pytest.mark.parametrize("name", ["int-over-4300-digits", "int-over-float-range",
+                                      "nested-10000-deep"])
+    def test_unreadable_reply(self, http_scorer, name):
+        _Scorer.mode = "score"
+        _Scorer.score, message = UNREADABLE_SCORES[name]
+        handle = external_model(f"http:{http_scorer}")
+        with pytest.raises(ModelIOError, match=r"^endpoint \S*: " + re.escape(message)):
             handle.score((1.0,))
 
     def test_unreachable_endpoint(self):
