@@ -195,7 +195,7 @@ def _load_weights(args, stats) -> tuple[float, ...] | None:
         return None
     try:
         doc = json.loads(Path(args.weights).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also: over 4300 digits, too deep nesting
         raise ConfigError(f"weights file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("weights file must map feature names to numbers")

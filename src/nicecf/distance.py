@@ -12,7 +12,11 @@ order so their sums are bit-identical to the scalar path.
 
 :func:`heom` and :func:`heom_to_rows` raise :class:`EncodeError` for an
 instance that breaks the row rule of the statistics' encoding plan (the
-training schema's, for :func:`fit_stats` output).
+training schema's, for :func:`fit_stats` output), a row of the wrong length
+included. :func:`heom_to_rows`, and so :func:`k_nearest` and
+:func:`nearest_unlike_neighbor`, first raise :class:`DistanceError` when the
+statistics do not describe the dataset's features. A numeric term too large
+for a float is ``inf``, without a warning, on every path.
 """
 
 from __future__ import annotations
@@ -64,8 +68,6 @@ def heom(
     weights: Sequence[float] | None = None,
 ) -> float:
     """Weighted L1 sum of per-feature distances between two instances."""
-    if len(a) != len(stats) or len(b) != len(stats):
-        raise DistanceError("instance length does not match statistics")
     rule = _plan(stats).rule
     rule.check(a)
     rule.check(b)
@@ -87,11 +89,9 @@ def heom_to_rows(
     Accumulates one feature at a time in schema order; entry i is
     bit-identical to ``heom(stats, x, dataset.rows[i], weights)``.
     """
-    if len(x) != len(stats):
-        raise DistanceError("instance length does not match statistics")
-    _plan(stats).rule.check(x)
-    if tuple(s.name for s in stats) != tuple(s.name for s in dataset.schema):
-        raise DistanceError("statistics do not match the dataset schema")
+    plan = _plan(stats)
+    plan._check_dataset(dataset)
+    plan.rule.check(x)
     w = check_weights(stats, weights)
     return _weighted_scan(stats, [stat.range for stat in stats], [x], dataset, w)[0]
 
@@ -118,25 +118,26 @@ def _weighted_scan(
     total = np.zeros((len(xs), len(dataset)), dtype=np.float64)
     rows = list(total)  # one view per instance; ``row += term`` writes into ``total``
     cols = dataset.columns()
-    for j, (stat, scale, wj) in enumerate(zip(stats, scales, weights)):
-        holders: dict = {}
-        if stat.kind is FeatureKind.CATEGORICAL:
-            codes, mapping = cols[j]
-            for row, x in zip(rows, xs):
-                holders.setdefault(mapping.get(x[j], -1), []).append(row)
-        else:
-            for row, x in zip(rows, xs):
-                holders.setdefault(float(x[j]), []).append(row)
-        for value, holding in holders.items():
+    with np.errstate(over="ignore"):  # a term too large for a float is inf, as in heom
+        for j, (stat, scale, wj) in enumerate(zip(stats, scales, weights)):
+            holders: dict = {}
             if stat.kind is FeatureKind.CATEGORICAL:
-                term = (codes != value).astype(np.float64)
-            elif scale == 0.0:
-                term = (cols[j] != value).astype(np.float64)
+                codes, mapping = cols[j]
+                for row, x in zip(rows, xs):
+                    holders.setdefault(mapping.get(x[j], -1), []).append(row)
             else:
-                term = np.abs(value - cols[j]) / scale
-            weighted = term if wj == 1.0 else wj * term  # x * 1.0 == x, bit for bit
-            for row in holding:
-                row += weighted
+                for row, x in zip(rows, xs):
+                    holders.setdefault(float(x[j]), []).append(row)
+            for value, holding in holders.items():
+                if stat.kind is FeatureKind.CATEGORICAL:
+                    term = (codes != value).astype(np.float64)
+                elif scale == 0.0:
+                    term = (cols[j] != value).astype(np.float64)
+                else:
+                    term = np.abs(value - cols[j]) / scale
+                weighted = term if wj == 1.0 else wj * term  # x * 1.0 == x, bit for bit
+                for row in holding:
+                    row += weighted
     return total
 
 

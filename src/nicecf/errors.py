@@ -41,7 +41,10 @@ class EncodeError(EngineError):
 
 
 class DistanceError(EngineError):
-    """Distance arguments disagree with the schema (kind or length mismatch)."""
+    """Statistics that do not describe a dataset's features, or a bad weight, k or label set.
+
+    A row of the wrong length is an :class:`EncodeError`, as every row-rule break is.
+    """
 
 
 class TrainError(EngineError):

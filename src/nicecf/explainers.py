@@ -52,7 +52,7 @@ from .distance import (
     nearest_unlike_neighbor,
 )
 from .errors import ConfigError, NoUnlikeNeighborError
-from .model import ClassifierHandle
+from .model import ClassifierHandle, _predicted
 from .plausibility import PlausibilityScorer, swap_state
 from .tabular import Dataset, FeatureKind, FeatureStats, Instance, _plan
 
@@ -103,10 +103,12 @@ class SearchContext:
 
     Bundles the training data, fitted statistics, the model handle, feature
     cost weights and an optional plausibility scorer; ``stats`` is kept as
-    an encoding plan, whose row rule the distance scans reuse. The mean/mode
-    instance is computed up front; the model-dependent state (training-set
-    predictions, the case base of near-duplicate cross-class pairs) is
-    computed lazily under a lock, so one context can serve many threads.
+    an encoding plan, whose row rule the distance scans reuse. Statistics
+    that do not describe ``train`` raise :class:`DistanceError`. The
+    mean/mode instance is computed up front; the model-dependent state
+    (training-set predictions, the case base of near-duplicate cross-class
+    pairs) is computed lazily under a lock, so one context can serve many
+    threads.
     """
 
     def __init__(
@@ -117,10 +119,9 @@ class SearchContext:
         weights: Sequence[float] | None = None,
         scorer: PlausibilityScorer | None = None,
     ):
-        if len(stats) != train.n_features:
-            raise ConfigError("statistics do not match the training schema")
         self.train = train
         self.stats: tuple[FeatureStats, ...] = _plan(stats)
+        self.stats._check_dataset(train)
         self.model = model
         self.weights = check_weights(stats, weights)
         self.scorer = scorer
@@ -187,10 +188,6 @@ _EPSILON = 1e-9
 
 def _signed(p: float) -> float:
     return 2.0 * p - 1.0
-
-
-def _predicted(p: float) -> int:
-    return 1 if p >= 0.5 else 0
 
 
 def _reward_core(

@@ -38,7 +38,7 @@ from scipy.special import expit
 # heom_to_rows is unused here but stays importable from this module:
 # bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
 from .distance import _weighted_scan, check_weights, heom_to_rows, k_smallest  # noqa: F401
-from .errors import ConfigError, DistanceError, EncodeError, ModelIOError, TrainError
+from .errors import ConfigError, EncodeError, ModelIOError, TrainError
 from .tabular import (
     Dataset,
     EncodedSwaps,
@@ -46,10 +46,16 @@ from .tabular import (
     HybridSwaps,
     Instance,
     _OUT_OF_RANGE,
+    _encode_training_rows,
     _plan,
     encode,
-    encode_batch,
 )
+
+
+def _predicted(p: float | np.ndarray) -> int | np.ndarray:
+    """Class 1 for a score of 0.5 or more, else 0; an int64 array for an array of scores."""
+    class_1 = p >= 0.5
+    return class_1.astype(np.int64) if isinstance(class_1, np.ndarray) else int(class_1)
 
 
 class ClassifierHandle:
@@ -76,10 +82,10 @@ class ClassifierHandle:
         return float(self.score_batch([x])[0])
 
     def predict(self, x: Instance) -> int:
-        return 1 if self.score(x) >= 0.5 else 0
+        return _predicted(self.score(x))
 
     def predict_batch(self, xs: Sequence[Instance]) -> np.ndarray:
-        return (self.score_batch(xs) >= 0.5).astype(np.int64)
+        return _predicted(self.score_batch(xs))
 
     def close(self) -> None:
         """Release whatever the handle holds open; built-in models hold nothing."""
@@ -94,8 +100,9 @@ class LogisticHandle(ClassifierHandle):
         self.intercept = float(intercept)
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
-        scores = (self._score_vector(encode(self.stats, x)) for x in xs)
-        return np.fromiter(scores, np.float64, len(xs))
+        with np.errstate(over="ignore"):  # an overflowing dot product is inf, as in swap_state
+            scores = (self._score_vector(encode(self.stats, x)) for x in xs)
+            return np.fromiter(scores, np.float64, len(xs))
 
     def swap_state(self, current: Instance, target: Instance) -> EncodedSwaps:
         """Exact fast path: two encodings for the whole search, patched per feature."""
@@ -123,7 +130,8 @@ def train_logistic(
 ) -> LogisticHandle:
     """Full-batch gradient descent on the mean log-loss.
 
-    Weights start at zero, so the fit is deterministic.
+    Weights start at zero, so the fit is deterministic. Statistics that do
+    not describe ``train`` raise :class:`DistanceError`.
     """
     if train.labels is None:
         raise TrainError("training dataset has no labels")
@@ -131,7 +139,7 @@ def train_logistic(
         raise TrainError("cannot train on an empty dataset")
     if epochs < 1 or step <= 0.0:
         raise ConfigError("epochs must be >= 1 and step > 0")
-    X = encode_batch(stats, train.rows)
+    X = _encode_training_rows(stats, train)
     y = np.asarray(train.labels, dtype=np.float64)
     n = len(train)
     coef = np.zeros(X.shape[1], dtype=np.float64)
@@ -153,9 +161,11 @@ class KnnHandle(ClassifierHandle):
     long the batch. Each row's neighbors are then selected with
     :func:`k_smallest`, not by sorting all its distances. Scores are
     bit-identical to ``heom_to_rows`` followed by a full (distance, row index)
-    sort, one row at a time. A row of the wrong length raises
-    :class:`DistanceError`; any other row that breaks ``train.rule`` (which
-    ``fit_stats(train)`` carries too) raises :class:`EncodeError`, first.
+    sort, one row at a time. Statistics that do not describe ``train``
+    raise :class:`DistanceError`. A row that breaks ``train.rule`` (which
+    ``fit_stats(train)`` carries too), a row of the wrong length included,
+    raises :class:`EncodeError` before any row is scored, in ``score_batch``
+    and in ``swap_state`` alike.
     """
 
     CHUNK_ROWS = 64
@@ -167,19 +177,21 @@ class KnnHandle(ClassifierHandle):
         k: int,
         weights: tuple[float, ...],
     ):
-        if tuple(s.name for s in stats) != tuple(s.name for s in train.schema):
-            raise DistanceError("statistics do not match the dataset schema")
-        self.stats = tuple(stats)
+        self.stats = _plan(stats)
+        self.stats._check_dataset(train)
         self.train = train
         self.k = k
         self.weights = weights
         self._ranges = [s.range for s in self.stats]
         self._labels = np.asarray(train.labels, dtype=np.float64)
 
+    def swap_state(self, current: Instance, target: Instance) -> HybridSwaps:
+        self.train.rule.check(current)
+        self.train.rule.check(target)
+        return super().swap_state(current, target)
+
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         for x in xs:
-            if len(x) != len(self.stats):
-                raise DistanceError("instance length does not match statistics")
             self.train.rule.check(x)
         out = np.empty(len(xs), dtype=np.float64)
         for start in range(0, len(xs), self.CHUNK_ROWS):

@@ -33,9 +33,9 @@ from .tabular import (
     FeatureStats,
     HybridSwaps,
     Instance,
+    _encode_training_rows,
     _plan,
     encode,
-    encode_batch,
 )
 
 log = logging.getLogger(__name__)
@@ -128,11 +128,12 @@ def train_autoencoder(
     All parameters (both weight matrices, then both biases, in the order
     w1 row-major, b1, w2 row-major, b2) are initialized uniformly in
     [-0.1, 0.1] from a deterministic stream seeded by ``config.seed``, so
-    identical inputs always produce bit-identical models.
+    identical inputs always produce bit-identical models. Statistics that
+    do not describe ``train`` raise :class:`DistanceError`.
     """
     if len(train) < 2:
         raise TrainError("autoencoder training needs at least 2 rows")
-    X = encode_batch(stats, train.rows)
+    X = _encode_training_rows(stats, train)
     if bool(np.all(X == X[0])):
         log.warning("all training rows encode identically; autoencoder will be degenerate")
     m = X.shape[1]
@@ -161,15 +162,18 @@ def train_autoencoder(
 def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
     """Mean squared difference between encode(x) and its reconstruction.
 
-    ``inf`` when the square overflows: unclipped scaling encodes a value far
-    outside a tiny training range as a huge number.
+    ``inf``, without a warning, when the square overflows: unclipped scaling
+    encodes a value far outside a tiny training range as a huge number.
     """
-    return _vector_error(ae, encode(stats, x))
+    v = encode(stats, x)
+    with np.errstate(over="ignore"):
+        return _vector_error(ae, v)
 
 
 def _vector_error(ae: AEModel, v: np.ndarray) -> float:
     # One encoded vector at a time, never one matrix product over a batch:
-    # rows of X @ w1 differ from x @ w1 in the last bits.
+    # rows of X @ w1 differ from x @ w1 in the last bits. Callers silence
+    # overflow (the result is inf) once per call, not once per vector.
     if v.shape[0] != ae.width:
         raise ConfigError(
             f"statistics encode to width {v.shape[0]}, autoencoder expects {ae.width}"

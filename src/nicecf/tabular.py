@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EncodeError, IngestError, StatsError
+from .errors import ConfigError, DistanceError, EncodeError, IngestError, StatsError
 from .rng import SplitMix64
 
 # One feature value: a category label or a real number.
@@ -201,7 +201,7 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
     """
     try:
         doc = json.loads(Path(schema_file).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also: over 4300 digits, too deep nesting
         raise IngestError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("features"), list) or not doc["features"]:
         raise IngestError("schema file must be an object with a non-empty 'features' list")
@@ -361,9 +361,11 @@ class _EncodingPlan(tuple):
     :func:`fit_stats`, the training schema's) or else one of names and kinds
     only; the encoded ``width``, per feature its ``slots`` (a slice) and its
     ``fields`` (first slot, category->slot dict or None, min, range), and
-    ``owner``, the feature index of each slot. Every encoding and distance function reads the rule and
-    the layout from a plan when given one and builds one otherwise. A plan
-    never changes after it is built, so threads may share it.
+    ``owner``, the feature index of each slot. Every encoding and distance
+    function reads the rule and the layout from a plan when given one and
+    builds one otherwise. :meth:`_check_dataset` is the one test of whether
+    statistics describe a dataset. A plan never changes after it is built,
+    so threads may share it.
     """
 
     def __new__(cls, stats: Sequence[FeatureStats], rule: _RowRule | None = None):
@@ -386,6 +388,15 @@ class _EncodingPlan(tuple):
         plan.owner = np.repeat(np.arange(len(plan)), [s.stop - s.start for s in slots])
         plan.owner.flags.writeable = False
         return plan
+
+    def _check_dataset(self, dataset: Dataset) -> None:
+        """Raise :class:`DistanceError` unless the plan has ``dataset``'s names and kinds in order.
+
+        A plan carrying ``dataset.rule``, as ``fit_stats(dataset)`` does, passes at once.
+        """
+        if self.rule is not dataset.rule and (
+                [(s.name, s.kind) for s in self] != [(s.name, s.kind) for s in dataset.schema]):
+            raise DistanceError("statistics do not match the dataset schema")
 
 
 def _plan(stats: Sequence[FeatureStats]) -> _EncodingPlan:
@@ -424,15 +435,30 @@ def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.nd
     plan = _plan(stats)
     for x in xs:
         plan.rule.check(x)
+    return _fill(plan, xs)
+
+
+def _encode_training_rows(stats: Sequence[FeatureStats], train: Dataset) -> np.ndarray:
+    """``encode_batch(stats, train.rows)`` for statistics checked against ``train``.
+
+    A plan carrying ``train.rule`` skips the row rule, which ``Dataset`` applied already.
+    """
+    plan = _plan(stats)
+    plan._check_dataset(train)
+    return _fill(plan, train.rows) if plan.rule is train.rule else encode_batch(plan, train.rows)
+
+
+def _fill(plan: _EncodingPlan, xs: Sequence[Instance]) -> np.ndarray:
     out = np.zeros((len(xs), plan.width), dtype=np.float64)
-    for j, (pos, index, lo, span) in enumerate(plan.fields):
-        if index is None:
-            if span > 0.0:
-                out[:, pos] = (np.asarray([x[j] for x in xs], dtype=np.float64) - lo) / span
-        else:
-            for i, x in enumerate(xs):
-                if x[j] in index:
-                    out[i, index[x[j]]] = 1.0
+    with np.errstate(over="ignore"):  # a quotient too large is inf, as in encode
+        for j, (pos, index, lo, span) in enumerate(plan.fields):
+            if index is None:
+                if span > 0.0:
+                    out[:, pos] = (np.asarray([x[j] for x in xs], dtype=np.float64) - lo) / span
+            else:
+                for i, x in enumerate(xs):
+                    if x[j] in index:
+                        out[i, index[x[j]]] = 1.0
     return out
 
 
@@ -476,7 +502,8 @@ class EncodedSwaps:
     :func:`encode` fills each feature's slots from that feature's value
     alone, that row is bit for bit the encoding of the hybrid, and ``take(j)``,
     which copies j's slots into ``base``, keeps ``base`` equal to the
-    encoding of the search's current row. One state serves one search.
+    encoding of the search's current row. A score that overflows is ``inf``,
+    without a warning. One state serves one search.
     """
 
     def __init__(self, stats: Sequence[FeatureStats], current: Instance, target: Instance,
@@ -488,7 +515,8 @@ class EncodedSwaps:
 
     def scores(self, features: Sequence[int]) -> list:
         take = self._plan.owner[None, :] == np.asarray(features, dtype=np.intp)[:, None]
-        return [self._score_vector(v) for v in np.where(take, self.donor, self.base)]
+        with np.errstate(over="ignore"):  # a score that overflows is inf
+            return [self._score_vector(v) for v in np.where(take, self.donor, self.base)]
 
     def take(self, j: int) -> None:
         slots = self._plan.slots[j]

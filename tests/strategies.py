@@ -65,18 +65,22 @@ BAD_CATEGORICAL = ((1.0, NOT_A_LABEL), (2, NOT_A_LABEL), (np.float64(0.5), NOT_A
 
 @st.composite
 def rows_with_one_bad_value(draw):
-    """A labeled random table, a row with one value that breaks the row rule, and its message.
+    """A labeled random table, a row that breaks the row rule, and its message.
 
-    The row is a table row with the value at a random position replaced by
-    one drawn from ``BAD_NUMERICAL`` or ``BAD_CATEGORICAL``, by that
-    feature's kind, or by a label outside the feature's declared category
-    set when it has one. Returns (table, row, feature name, message).
+    The row is a table row either one value short or one too long (feature
+    name None), or with the value at a random position replaced by one
+    drawn from ``BAD_NUMERICAL`` or ``BAD_CATEGORICAL``, by that feature's
+    kind, or by a label outside the feature's declared category set when it
+    has one. Returns (table, row, feature name, message).
     """
     table, _ = draw(mixed_tables())
     n = len(table)
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     table = Dataset(table.schema, table.rows, labels)
     row = draw(st.sampled_from(table.rows))
+    if draw(st.integers(0, 3)) == 0:
+        bad = row[:-1] if draw(st.booleans()) else row + (row[0],)
+        return table, bad, None, f"row has {len(bad)} values, schema has {len(row)}"
     j = draw(st.integers(0, len(row) - 1))
     spec = table.schema[j]
     bad = BAD_NUMERICAL if spec.kind is FeatureKind.NUMERICAL else BAD_CATEGORICAL

@@ -114,6 +114,35 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# JSON text that json.loads rejects with other errors than JSONDecodeError:
+# an int literal over Python's 4300-digit limit (ValueError) and nesting
+# deeper than the recursion limit (RecursionError).
+UNPARSABLE_JSON = {"int-over-4300-digits": "1" * 4301,
+                   "nested-10000-deep": "[" * 10000 + "]" * 10000}
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
+class TestUnparsableJson:
+    """A schema or weights file json.loads cannot take is an input error (exit 1)."""
+
+    def test_schema_file(self, data_files, tmp_path, name, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(UNPARSABLE_JSON[name])
+        code = run_command(["describe", "--schema", str(schema), "--data", data_files[1]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: schema file is not valid JSON: ")
+
+    def test_weights_file(self, data_files, tmp_path, name, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text(UNPARSABLE_JSON[name])
+        code = run_command(
+            ["explain", *common(data_files), "--model", "builtin:logistic",
+             "--index", "0", "--weights", str(weights)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: weights file is not valid JSON: ")
+
+
 # Every command that loads data, with the arguments it needs besides --schema/--data.
 LOADING_COMMANDS = {
     "describe": [],

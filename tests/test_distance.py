@@ -11,7 +11,7 @@ from nicecf.distance import (
     k_nearest,
     nearest_unlike_neighbor,
 )
-from nicecf.errors import DistanceError, NoUnlikeNeighborError
+from nicecf.errors import DistanceError, EncodeError, NoUnlikeNeighborError
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, FeatureStats, fit_stats
 from strategies import FEW_NUMBERS, NUMBERS, mixed_tables, nearest_order
 
@@ -59,7 +59,7 @@ class TestHeom:
         assert heom(tiny_stats, x, x) == 0.0
 
     def test_length_mismatch(self, tiny_stats):
-        with pytest.raises(DistanceError):
+        with pytest.raises(EncodeError, match=r"^row has 1 values, schema has 2$"):
             heom(tiny_stats, (1.0,), (1.0, "red"))
 
     def test_bad_weights(self, tiny_stats):
@@ -127,7 +127,7 @@ class TestKNearest:
 
     def test_wrong_length_rejected(self, tiny_dataset, tiny_stats):
         for bad in ((10.0,), (10.0, "red", 1.0)):
-            with pytest.raises(DistanceError):
+            with pytest.raises(EncodeError, match=rf"^row has {len(bad)} values, schema has 2$"):
                 k_nearest(tiny_stats, bad, tiny_dataset, 1)
 
     @settings(max_examples=200, deadline=None)

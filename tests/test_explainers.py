@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 
 import nicecf.explainers
 from nicecf.distance import heom
-from nicecf.errors import ConfigError, EncodeError, NoUnlikeNeighborError
+from nicecf.errors import ConfigError, DistanceError, EncodeError, NoUnlikeNeighborError
 from nicecf.explainers import (
     Explanation,
     RewardKind,
@@ -666,7 +666,7 @@ class TestSearchContext:
     def test_validation(self, mixed_dataset, scripted_model_cls):
         stats = fit_stats(mixed_dataset)
         model = scripted_model_cls({}, default=0.5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DistanceError, match="^statistics do not match the dataset schema$"):
             SearchContext(mixed_dataset, stats[:-1], model)
 
     def test_mean_mode_instance(self, tiny_dataset, tiny_stats, scripted_model_cls):

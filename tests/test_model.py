@@ -129,7 +129,7 @@ class TestKnn:
     def test_wrong_length_rejected(self, tiny_dataset, tiny_stats):
         model = train_knn_classifier(tiny_stats, tiny_dataset, k=3)
         for bad in ((10.0,), (10.0, "red", 1.0)):
-            with pytest.raises(DistanceError):
+            with pytest.raises(EncodeError, match=rf"^row has {len(bad)} values, schema has 2$"):
                 model.score_batch([(10.0, "red"), bad])
 
     def test_schema_mismatch_rejected(self, tiny_dataset, tiny_stats):

@@ -1,16 +1,22 @@
-"""One row rule: every built-in path rejects a bad value with the same message.
+"""One check per fact: every built-in path rejects a bad row, or statistics
+of another schema, with the same error and message.
 
-The rule is the schema's, compiled once by the training :class:`Dataset`;
-the statistics :func:`fit_stats` returns carry it to every other path. Only
-a schema's declared category sets restrict labels, so a category the
-training split lacks, like a number outside its range, is taken by every path.
+The row rule is the schema's, compiled once by the training
+:class:`Dataset`; the statistics :func:`fit_stats` returns carry it to every
+other path. It judges a row's length too. Only a schema's declared category
+sets restrict labels, so a category the training split lacks, like a number
+outside its range, is taken by every path. Whether statistics describe a
+dataset is checked by their encoding plan alone.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicecf.distance import heom, heom_to_rows, k_nearest
-from nicecf.errors import EncodeError, IngestError, NoUnlikeNeighborError
+from nicecf.distance import heom, heom_to_rows, k_nearest, nearest_unlike_neighbor
+from nicecf.errors import DistanceError, EncodeError, IngestError, NoUnlikeNeighborError
 from nicecf.explainers import (
     RewardKind,
     SearchContext,
@@ -21,7 +27,17 @@ from nicecf.explainers import (
 )
 from nicecf.model import train_knn_classifier, train_logistic
 from nicecf.plausibility import AEConfig, ae_error, ae_scorer, swap_state, train_autoencoder
-from nicecf.tabular import Dataset, encode, encode_batch, fit_stats, swap_hybrids
+from nicecf.synthetic import make_dataset
+from nicecf.tabular import (
+    Dataset,
+    FeatureKind,
+    FeatureSpec,
+    _RowRule,
+    encode,
+    encode_batch,
+    fit_stats,
+    swap_hybrids,
+)
 from strategies import mixed_tables, rows_with_one_bad_value
 
 EXPLAINERS = {
@@ -69,9 +85,95 @@ def test_every_path_gives_the_same_message(problem):
         for explainer, explain in EXPLAINERS.items():
             calls[f"{model_name} {explainer}"] = lambda explain=explain, ctx=ctx: explain(bad, ctx)
     assert {key: outcome(call) for key, call in calls.items()} == dict.fromkeys(calls, message)
+    column = "" if name is None else f", column={name!r}"
     assert outcome(lambda: Dataset(table.schema, [good, bad]), IngestError) == (
-        f"{message} (row=1, column={name!r})"
+        f"{message} (row=1{column})"
     )
+
+
+def schema_consumers(table, stats):
+    """Every consumer of statistics and a dataset, each as a call over ``stats``."""
+    x = table.rows[0]
+    return {
+        "SearchContext": lambda: SearchContext(
+            table, stats, train_logistic(fit_stats(table), table, epochs=5)),
+        "train_knn_classifier": lambda: train_knn_classifier(stats, table, k=3),
+        "heom_to_rows": lambda: heom_to_rows(stats, x, table),
+        "k_nearest": lambda: k_nearest(stats, x, table, 3),
+        "nearest_unlike_neighbor": lambda: nearest_unlike_neighbor(
+            stats, x, table, table.labels, 1 - table.labels[0]),
+        "train_logistic": lambda: train_logistic(stats, table, epochs=5),
+        "train_autoencoder": lambda: train_autoencoder(table, AEConfig(epochs=1), stats),
+    }
+
+
+@pytest.mark.parametrize("change", ["two features swapped", "one feature short"])
+def test_every_consumer_rejects_statistics_of_another_schema(change):
+    table = make_dataset(60, 2, 2, seed=3)
+    stats = list(fit_stats(table))
+    if change == "two features swapped":
+        stats[0], stats[2] = stats[2], stats[0]  # num0 and cat0
+    else:
+        stats.pop()
+    calls = schema_consumers(table, stats)
+    assert {key: outcome(call, DistanceError) for key, call in calls.items()} == dict.fromkeys(
+        calls, "statistics do not match the dataset schema")
+
+
+def test_every_consumer_takes_statistics_built_by_hand_that_match():
+    table = make_dataset(60, 2, 2, seed=3)
+    for call in schema_consumers(table, list(fit_stats(table))).values():
+        call()
+
+
+def test_trainers_take_their_own_rows_without_a_second_check(mixed_dataset, monkeypatch):
+    stats = fit_stats(mixed_dataset)
+
+    def no_check(self, row):
+        raise AssertionError("a training row was checked again")
+
+    monkeypatch.setattr(_RowRule, "problem", no_check)
+    train_logistic(stats, mixed_dataset, epochs=5)
+    train_autoencoder(mixed_dataset, AEConfig(epochs=1), stats)
+
+
+def test_trainers_hold_another_datasets_rows_to_the_plan_rule():
+    schema = [FeatureSpec("c", FeatureKind.CATEGORICAL, ("a", "b")),
+              FeatureSpec("x", FeatureKind.NUMERICAL)]
+    narrow = Dataset(schema, [("a", 0.0), ("b", 1.0)], [0, 1])
+    wide = Dataset([FeatureSpec("c", FeatureKind.CATEGORICAL), schema[1]],
+                   [("a", 0.0), ("c", 1.0)], [0, 1])
+    stats = fit_stats(narrow)
+    with pytest.raises(EncodeError, match="^unknown category 'c' for 'c'$"):
+        train_logistic(stats, wide, epochs=5)
+    with pytest.raises(EncodeError, match="^unknown category 'c' for 'c'$"):
+        train_autoencoder(wide, AEConfig(epochs=1), stats)
+
+
+# 1000.0 over a training range of 1e-300 encodes as 1e303, whose square
+# overflows in the autoencoder's error; over 1e-305 the logistic model's dot
+# product overflows too; over 5e-324 the quotient itself does.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tiny", [1e-300, 1e-305, 5e-324])
+def test_overflow_is_inf_without_a_warning(tiny):
+    schema = [FeatureSpec(name, FeatureKind.NUMERICAL) for name in ("a", "b")]
+    table = Dataset(schema, [(0.0, 0.0), (tiny, 1.0)], [0, 1])
+    stats = fit_stats(table)
+    far, target = (1000.0, 0.0), table.rows[1]
+    hybrid = (1000.0, 1.0)  # far with feature 1 taken from target
+    ae = train_autoencoder(table, AEConfig(epochs=1), stats)
+    scorer = ae_scorer(ae, stats)
+    assert ae_error(ae, stats, far) == scorer(far) == math.inf
+    assert swap_state(scorer, far, target).scores([1]) == [math.inf]
+    assert encode_batch(stats, [far]).tobytes() == encode(stats, far).tobytes()
+    d = heom_to_rows(stats, far, table)
+    assert hexes(d) == hexes(heom(stats, far, row) for row in table.rows)
+    assert d[0] == 1000.0 / tiny  # inf for 5e-324
+    assert k_nearest(stats, far, table, 1) == [0]
+    for model in (train_logistic(stats, table), train_knn_classifier(stats, table, k=1)):
+        assert hexes([model.score(far)]) == hexes(model.score_batch([far]))
+        assert hexes(model.swap_state(far, target).scores([1])) == hexes(
+            model.score_batch([hybrid]))
 
 
 def test_fitted_statistics_are_one_plan_with_the_schema_rule(mixed_dataset):
