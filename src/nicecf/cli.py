@@ -221,13 +221,10 @@ def _build_model(spec: str, stats, train: Dataset) -> ClassifierHandle:
         return train_logistic(stats, train)
     if spec == "builtin:knn" or spec.startswith("builtin:knn:"):
         rest = spec[len("builtin:knn"):]
-        if rest == "":
-            k = 5
-        else:
-            try:
-                k = int(rest[1:])
-            except ValueError:
-                raise ConfigError(f"bad neighbor count in model spec '{spec}'") from None
+        try:
+            k = int(rest[1:]) if rest else 5
+        except ValueError:
+            raise ConfigError(f"bad neighbor count in model spec '{spec}'") from None
         return train_knn_classifier(stats, train, k=k)
     if spec.startswith(("proc:", "http:")):
         return external_model(spec)
@@ -315,7 +312,7 @@ def _cmd_describe(args) -> int:
     stats = fit_stats(data)
     print(f"rows: {len(data)}, features: {data.n_features}")
     if data.labels is not None:
-        ones = sum(data.labels)
+        ones = int(data.label_array().sum())
         print(f"labels: class 0 = {len(data) - ones}, class 1 = {ones}")
     name_width = max(len(s.name) for s in stats)
     for s in stats:

@@ -37,7 +37,7 @@ class StatsError(EngineError):
 
 
 class EncodeError(EngineError):
-    """An instance cannot be encoded against fitted statistics."""
+    """An instance cannot be encoded or scored against fitted statistics."""
 
 
 class DistanceError(EngineError):

@@ -100,7 +100,7 @@ class LogisticHandle(ClassifierHandle):
         self.intercept = float(intercept)
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflowing dot product is inf, as in swap_state
+        with np.errstate(over="ignore", invalid="ignore"):  # as in swap_state; see _score_vector
             scores = (self._score_vector(encode(self.stats, x)) for x in xs)
             return np.fromiter(scores, np.float64, len(xs))
 
@@ -111,15 +111,19 @@ class LogisticHandle(ClassifierHandle):
     def _score_vector(self, v: np.ndarray) -> float:
         # One dot product per encoded row, never one matrix product over a
         # batch: keeps every score bit-identical to the single-instance score
-        # regardless of BLAS kernel selection.
+        # regardless of BLAS kernel selection. Callers silence numpy's overflow and
+        # invalid-value warnings once per call; _sigmoid raises for the NaN.
         return _sigmoid(float(np.dot(v, self.coef)) + self.intercept)
 
 
 def _sigmoid(z: float) -> float:
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    if z < 0.0:
+        e = math.exp(z)
+        return e / (1.0 + e)
+    # NaN, which an encoding holding both inf and -inf terms gives: no score is right.
+    raise EncodeError("row cannot be scored: its encoding adds +inf and -inf")
 
 
 def train_logistic(
@@ -140,7 +144,7 @@ def train_logistic(
     if epochs < 1 or step <= 0.0:
         raise ConfigError("epochs must be >= 1 and step > 0")
     X = _encode_training_rows(stats, train)
-    y = np.asarray(train.labels, dtype=np.float64)
+    y = train.label_array()  # 0 and 1 promote to float64 exactly
     n = len(train)
     coef = np.zeros(X.shape[1], dtype=np.float64)
     intercept = 0.0
@@ -183,7 +187,7 @@ class KnnHandle(ClassifierHandle):
         self.k = k
         self.weights = weights
         self._ranges = [s.range for s in self.stats]
-        self._labels = np.asarray(train.labels, dtype=np.float64)
+        self._labels = train.label_array()
 
     def swap_state(self, current: Instance, target: Instance) -> HybridSwaps:
         self.train.rule.check(current)
@@ -330,11 +334,12 @@ class SubprocessTransport:
 
 
 class HttpTransport:
-    """Stateless POST of the same JSON payload to a scoring endpoint."""
+    """Stateless POST of the same JSON payload to a scoring endpoint, ``TIMEOUT_S`` per request."""
 
-    def __init__(self, url: str, timeout: float = 30.0):
+    TIMEOUT_S = 30.0
+
+    def __init__(self, url: str):
         self.url = url
-        self.timeout = timeout
 
     def request(self, payload: dict, expected: int) -> np.ndarray:
         req = urllib.request.Request(
@@ -344,7 +349,7 @@ class HttpTransport:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=self.TIMEOUT_S) as resp:
                 body = resp.read().decode("utf-8")
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise ModelIOError(f"endpoint {self.url}: {exc}") from exc
@@ -355,29 +360,26 @@ class HttpTransport:
 
 
 class ExternalHandle(ClassifierHandle):
-    """Scores rows through a transport, ``batch_size`` instances per request."""
+    """Scores rows through a transport, ``BATCH_ROWS`` per request, all checked before the first."""
 
-    def __init__(self, transport, batch_size: int):
-        if batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    BATCH_ROWS = 256
+
+    def __init__(self, transport):
         self.transport = transport
-        self.batch_size = batch_size
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
-        instances = [_json_safe(x) for x in xs]  # every row checked before any request
-        chunks = []
-        for start in range(0, len(xs), self.batch_size):
-            part = instances[start : start + self.batch_size]
+        instances = [_json_safe(x) for x in xs]
+        chunks = [np.empty(0, dtype=np.float64)]  # no rows make no request and no scores
+        for start in range(0, len(xs), self.BATCH_ROWS):
+            part = instances[start : start + self.BATCH_ROWS]
             chunks.append(self.transport.request({"instances": part}, len(part)))
-        if not chunks:
-            return np.empty(0, dtype=np.float64)
         return np.concatenate(chunks)
 
     def close(self) -> None:
         self.transport.close()
 
 
-def external_model(spec: str, batch_size: int = 256) -> ExternalHandle:
+def external_model(spec: str) -> ExternalHandle:
     """Build a handle from a model spec string.
 
     ``proc:CMD`` starts CMD as a worker process speaking newline-delimited
@@ -389,7 +391,7 @@ def external_model(spec: str, batch_size: int = 256) -> ExternalHandle:
         command = spec[len("proc:") :]
         if not command.strip():
             raise ConfigError("proc: model spec has an empty command")
-        return ExternalHandle(SubprocessTransport(command), batch_size)
+        return ExternalHandle(SubprocessTransport(command))
     if spec.startswith("http:"):
         rest = spec[len("http:") :]
         if rest.startswith("//"):
@@ -400,5 +402,5 @@ def external_model(spec: str, batch_size: int = 256) -> ExternalHandle:
             url = "http://" + rest
         else:
             raise ConfigError("http: model spec has an empty URL")
-        return ExternalHandle(HttpTransport(url), batch_size)
+        return ExternalHandle(HttpTransport(url))
     raise ConfigError(f"unrecognized external model spec '{spec}'")

@@ -163,23 +163,26 @@ def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
     """Mean squared difference between encode(x) and its reconstruction.
 
     ``inf``, without a warning, when the square overflows: unclipped scaling
-    encodes a value far outside a tiny training range as a huge number.
+    encodes a value far outside a tiny training range as a huge number, or
+    as ``inf``, which the network can turn into NaN.
     """
     v = encode(stats, x)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return _vector_error(ae, v)
 
 
 def _vector_error(ae: AEModel, v: np.ndarray) -> float:
     # One encoded vector at a time, never one matrix product over a batch:
     # rows of X @ w1 differ from x @ w1 in the last bits. Callers silence
-    # overflow (the result is inf) once per call, not once per vector.
+    # overflow and invalid values once per call, not once per vector.
     if v.shape[0] != ae.width:
         raise ConfigError(
             f"statistics encode to width {v.shape[0]}, autoencoder expects {ae.width}"
         )
     diff = ae.reconstruct(v) - v
-    return float(np.dot(diff, diff)) / ae.width
+    error = float(np.dot(diff, diff)) / ae.width
+    # NaN comes only from infinite entries (inf - inf, inf * 0): the true error overflows.
+    return math.inf if math.isnan(error) else error
 
 
 class AEScorer:

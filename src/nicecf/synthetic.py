@@ -97,19 +97,18 @@ def save_dataset(
 ) -> None:
     """Write a dataset as a schema JSON plus CSV pair readable by load_dataset.
 
-    Categorical features are declared with the categories observed in the
-    data (union with any declared set), numbers with full float precision.
+    Categorical features are declared with their declared set, or else with
+    the categories observed in the data; numbers with full float precision.
     """
     import csv as csv_mod
     import json
 
     features = []
-    for j, spec in enumerate(dataset.schema):
+    for spec, column in zip(dataset.schema, dataset.columns()):
         entry: dict = {"name": spec.name, "kind": spec.kind.value}
         if spec.kind is FeatureKind.CATEGORICAL:
-            observed = {row[j] for row in dataset.rows}
-            declared = set(spec.categories or ())
-            entry["categories"] = sorted(observed | declared)
+            # A declared set holds every observed label; else the column's mapping lists them.
+            entry["categories"] = sorted(set(spec.categories or column[1]))
         features.append(entry)
     label_name = "label" if dataset.labels is not None else None
     Path(schema_path).write_text(json.dumps({"features": features, "label": label_name}))

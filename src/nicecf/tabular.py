@@ -15,6 +15,7 @@ set (still one the schema allows) encodes as all zeros.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -78,6 +79,8 @@ class FeatureStats:
         if self.kind is FeatureKind.NUMERICAL:
             if not (self.min <= self.mean <= self.max) or self.range < 0 or self.std < 0:
                 raise StatsError(f"inconsistent numerical stats for '{self.name}'")
+            if not math.isfinite(self.range):
+                raise StatsError(f"non-finite range {self.range} for '{self.name}'")
         else:
             if not self.categories or self.mode not in self.categories:
                 raise StatsError(f"inconsistent categorical stats for '{self.name}'")
@@ -123,10 +126,11 @@ class Dataset:
         return len(self.schema)
 
     def columns(self) -> list:
-        """Per-feature columnar views.
+        """Per-feature columnar views, built on first use and then shared.
 
         Numerical feature -> float64 array. Categorical feature -> pair of
-        (int32 code array, {label: code} mapping) local to this dataset.
+        (int32 code array, {label: code} mapping in order of first appearance).
+        Only this and :meth:`label_array` gather values or labels across rows.
         """
         if self._columns is None:
             cols = []
@@ -136,10 +140,8 @@ class Dataset:
                     cols.append(np.asarray(values, dtype=np.float64))
                 else:
                     mapping: dict[str, int] = {}
-                    codes = np.empty(len(values), dtype=np.int32)
-                    for i, v in enumerate(values):
-                        codes[i] = mapping.setdefault(v, len(mapping))
-                    cols.append((codes, mapping))
+                    codes = (mapping.setdefault(v, len(mapping)) for v in values)
+                    cols.append((np.fromiter(codes, np.int32, len(values)), mapping))
             self._columns = cols
         return self._columns
 
@@ -288,17 +290,24 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
 def fit_stats(train: Dataset) -> tuple[FeatureStats, ...]:
     """Per-feature training statistics, as an encoding plan carrying ``train.rule``.
 
-    Their category sets lay out the encoding only. Mode ties break toward the
-    lexicographically smallest label; numerical std is the population one.
+    Read from ``train.columns()``; category sets lay out the encoding only.
+    Mode ties break toward the smallest label; std is the population one. A
+    mean or std whose sums overflow comes from the column divided by its
+    largest magnitude, scaled back. A range too large raises :class:`StatsError`.
     """
     if len(train) == 0:
         raise StatsError("cannot fit statistics on an empty dataset")
     stats: list[FeatureStats] = []
-    for j, spec in enumerate(train.schema):
-        values = [row[j] for row in train.rows]
+    for spec, column in zip(train.schema, train.columns()):
         if spec.kind is FeatureKind.NUMERICAL:
-            arr = np.asarray(values, dtype=np.float64)
-            lo, hi = float(arr.min()), float(arr.max())
+            lo, hi = float(column.min()), float(column.max())
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = float(column.mean()), float(column.std())
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                # Both fit a float: the mean lies in [lo, hi], the std within half the range.
+                scale = max(-lo, hi)
+                mean = float((column / scale).mean()) * scale
+                std = float((column / scale).std()) * scale
             # Rounding can put the mean of near-equal values just outside
             # [lo, hi] and give a constant column a tiny nonzero std.
             stats.append(
@@ -308,18 +317,17 @@ def fit_stats(train: Dataset) -> tuple[FeatureStats, ...]:
                     min=lo,
                     max=hi,
                     range=hi - lo,
-                    mean=min(max(float(arr.mean()), lo), hi),
-                    std=float(arr.std()) if hi > lo else 0.0,
+                    mean=min(max(mean, lo), hi),
+                    std=std if hi > lo else 0.0,
                 )
             )
         else:
-            counts: dict[str, int] = {}
-            for v in values:
-                counts[v] = counts.get(v, 0) + 1
-            categories = tuple(sorted(counts))
-            mode = min(counts, key=lambda c: (-counts[c], c))
+            codes, mapping = column
+            counts = np.bincount(codes, minlength=len(mapping))
+            mode = min(mapping, key=lambda c: (-counts[mapping[c]], c))
             stats.append(
-                FeatureStats(name=spec.name, kind=spec.kind, categories=categories, mode=mode)
+                FeatureStats(name=spec.name, kind=spec.kind, categories=tuple(sorted(mapping)),
+                             mode=mode)
             )
     return _EncodingPlan(stats, train.rule)
 
@@ -373,7 +381,7 @@ class _EncodingPlan(tuple):
         fields, slots, pos = [], [], 0
         for stat in plan:
             if stat.kind is FeatureKind.NUMERICAL:
-                fields.append((pos, None, stat.min, stat.range))
+                fields.append((pos, None, float(stat.min), float(stat.range)))
                 width = 1
             else:
                 index = {c: pos + i for i, c in enumerate(stat.categories)}
@@ -407,35 +415,28 @@ def encode(stats: Sequence[FeatureStats], x: Instance) -> np.ndarray:
     """Numeric encoding of one instance against fitted statistics.
 
     Min-max scaling for numerical features (a zero training range emits 0,
-    out-of-range values are not clipped), one-hot in stored category order
-    for categorical features; a category the training split never held
-    leaves all of its feature's slots at 0. An instance that breaks the
-    plan's row rule raises :class:`EncodeError`. Each feature's slots
-    depend on that feature's value alone.
+    out-of-range values are not clipped, a quotient too large is ``inf``),
+    one-hot in stored category order for categorical features; a category
+    the training split never held leaves all of its feature's slots at 0.
+    An instance that breaks the plan's row rule raises :class:`EncodeError`.
+    Each feature's slots depend on that feature's value alone.
     """
     plan = _plan(stats)
     plan.rule.check(x)
-    out = [0.0] * plan.width  # a list is filled faster than an array, and converts exactly
-    for (pos, index, lo, span), value in zip(plan.fields, x):
-        if index is not None:
-            if value in index:
-                out[index[value]] = 1.0
-        elif span > 0.0:
-            out[pos] = (value - lo) / span
-    return np.array(out, dtype=np.float64)
+    return np.array(_encoded_values(plan, x), dtype=np.float64)
 
 
 def encode_batch(stats: Sequence[FeatureStats], xs: Sequence[Instance]) -> np.ndarray:
     """Encode many instances into a (n, encoded width) matrix.
 
-    Each instance is held to the plan's row rule first, as in
-    :func:`encode`; then the matrix is filled a column at a time. Each row
-    is bit-identical to :func:`encode` of that instance.
+    Every instance is held to the plan's row rule before any is encoded.
+    The rows come from the same code as :func:`encode`, so each is bit for
+    bit :func:`encode` of its instance.
     """
     plan = _plan(stats)
     for x in xs:
         plan.rule.check(x)
-    return _fill(plan, xs)
+    return _encode_rows(plan, xs)
 
 
 def _encode_training_rows(stats: Sequence[FeatureStats], train: Dataset) -> np.ndarray:
@@ -445,21 +446,27 @@ def _encode_training_rows(stats: Sequence[FeatureStats], train: Dataset) -> np.n
     """
     plan = _plan(stats)
     plan._check_dataset(train)
-    return _fill(plan, train.rows) if plan.rule is train.rule else encode_batch(plan, train.rows)
+    encoder = _encode_rows if plan.rule is train.rule else encode_batch
+    return encoder(plan, train.rows)
 
 
-def _fill(plan: _EncodingPlan, xs: Sequence[Instance]) -> np.ndarray:
-    out = np.zeros((len(xs), plan.width), dtype=np.float64)
-    with np.errstate(over="ignore"):  # a quotient too large is inf, as in encode
-        for j, (pos, index, lo, span) in enumerate(plan.fields):
-            if index is None:
-                if span > 0.0:
-                    out[:, pos] = (np.asarray([x[j] for x in xs], dtype=np.float64) - lo) / span
-            else:
-                for i, x in enumerate(xs):
-                    if x[j] in index:
-                        out[i, index[x[j]]] = 1.0
+def _encoded_values(plan: _EncodingPlan, x: Instance) -> list[float]:
+    """The one row encoder: the encoding of a checked row, as a list of floats."""
+    out = [0.0] * plan.width  # a list is filled faster than an array, and converts exactly
+    for (pos, index, lo, span), value in zip(plan.fields, x):
+        if index is not None:
+            if value in index:
+                out[index[value]] = 1.0
+        elif span > 0.0:
+            # Python floats, even for a numpy.float64 value: their division gives inf, not a warning.
+            out[pos] = (float(value) - lo) / span
     return out
+
+
+def _encode_rows(plan: _EncodingPlan, xs: Sequence[Instance]) -> np.ndarray:
+    # Streamed into the matrix: a list of every row's list would double the peak memory.
+    values = itertools.chain.from_iterable(_encoded_values(plan, x) for x in xs)
+    return np.fromiter(values, np.float64, len(xs) * plan.width).reshape(len(xs), plan.width)
 
 
 def swap_hybrids(current: Instance, target: Instance, features: Sequence[int]) -> list[Instance]:
@@ -515,7 +522,8 @@ class EncodedSwaps:
 
     def scores(self, features: Sequence[int]) -> list:
         take = self._plan.owner[None, :] == np.asarray(features, dtype=np.intp)[:, None]
-        with np.errstate(over="ignore"):  # a score that overflows is inf
+        # Overflow gives inf; the score functions handle the NaN of inf - inf.
+        with np.errstate(over="ignore", invalid="ignore"):
             return [self._score_vector(v) for v in np.where(take, self.donor, self.base)]
 
     def take(self, j: int) -> None:

@@ -83,6 +83,34 @@ class TestParsing:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["builtin:knn:three", "builtin:knn:"])
+    def test_bad_neighbor_count(self, data_files, spec, capsys):
+        code = run_command(["explain", *common(data_files), "--model", spec, "--index", "0"])
+        assert code == 1
+        assert f"bad neighbor count in model spec '{spec}'" in capsys.readouterr().err
+
+    def test_knn_without_a_count_takes_five(self, data_files, capsys):
+        docs = []
+        for spec in ("builtin:knn", "builtin:knn:5"):
+            assert run_command(["explain", *common(data_files), "--model", spec,
+                                "--index", "3"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["elapsed_ms"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    def test_empty_explainer_list(self, data_files, tmp_path, capsys):
+        code = run_command(["benchmark", *common(data_files), "--model", "builtin:logistic",
+                            "--explainers", " , ", "--out", str(tmp_path)])
+        assert code == 1
+        assert "empty explainer list" in capsys.readouterr().err
+
+    def test_explain_takes_one_model(self, data_files, capsys):
+        code = run_command(["explain", *common(data_files), "--model", "builtin:logistic",
+                            "--model", "builtin:knn", "--index", "0"])
+        assert code == 1
+        assert "exactly one --model is expected here" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
 
@@ -258,6 +286,15 @@ class TestExplain:
         )
         assert code == 1
 
+    def test_no_unlike_neighbor_is_reported(self, data_files, capsys):
+        code = run_command(["explain", *common(data_files), "--model", proc_spec(CONSTANT_WORKER),
+                            "--variant", "prox", "--index", "5"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("elapsed_ms") >= 0.0
+        assert doc == {"explainer": "nice-prox", "row": 5, "valid": False,
+                       "error": "no unlike neighbor"}
+
     def test_dead_external_worker_is_runtime_failure(self, data_files, capsys):
         spec = f"proc:{sys.executable} -c 'import sys; sys.exit(1)'"
         code = run_command(
@@ -396,6 +433,17 @@ class TestBenchmark:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["instances"] == len(test)
 
+    def test_no_unlike_neighbor_is_an_invalid_record(self, data_files, tmp_path, capsys):
+        code = run_command(["benchmark", *common(data_files), "--model", proc_spec(CONSTANT_WORKER),
+                            "--explainers", "nice-none,cbr", "--max-instances", "3",
+                            "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "records.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [(r["instance_id"], r["explainer_id"], r["valid"]) for r in records] == [
+            (str(i), eid, "false") for i in range(3) for eid in ("nice-none", "cbr")]
+        assert {r["sparsity"] for r in records} == {""}
+
     @pytest.mark.parametrize("name", sorted(UNREADABLE_SCORES))
     def test_unreadable_worker_reply_is_runtime_failure(self, data_files, tmp_path, name,
                                                         capsys):
@@ -461,6 +509,12 @@ for line in sys.stdin:
     print(json.dumps({"scores": [1 / (1 + math.exp(4 - r[0] - r[1])) for r in rows]}), flush=True)
 """
 DEAD_WORKER = "import sys; sys.exit(1)"
+# Worker that predicts class 1 for every row, so no training row is an unlike neighbor.
+CONSTANT_WORKER = r"""
+import json, sys
+for line in sys.stdin:
+    print(json.dumps({"scores": [0.9] * len(json.loads(line)["instances"])}), flush=True)
+"""
 
 
 def proc_spec(body):

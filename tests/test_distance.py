@@ -171,6 +171,11 @@ class TestNearestUnlikeNeighbor:
         with pytest.raises(NoUnlikeNeighborError):
             nearest_unlike_neighbor(tiny_stats, (10.0, "red"), tiny_dataset, preds, 0)
 
+    @pytest.mark.parametrize("preds", [[0, 1, 1], [0, 1, 1, 1, 0]])
+    def test_one_prediction_per_row_required(self, tiny_dataset, tiny_stats, preds):
+        with pytest.raises(DistanceError, match="^one prediction per training row is required$"):
+            nearest_unlike_neighbor(tiny_stats, (10.0, "red"), tiny_dataset, preds, 0)
+
     def test_unlabeled_dataset_rejected(self, tiny_stats):
         schema = [
             FeatureSpec("amount", FeatureKind.NUMERICAL),

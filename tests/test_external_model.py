@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nicecf.errors import ConfigError, EncodeError, ModelIOError
-from nicecf.model import ExternalHandle, external_model
+from nicecf.model import ExternalHandle, _parse_scores, external_model
 
 # Worker that scores an instance as 1/(1+sum of numeric values), clamped.
 WORKER = r"""
@@ -68,6 +68,18 @@ def replying_worker(score: bytes) -> str:
     return worker_spec(REPLYING.replace("SCORE", score.hex()))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[0.5]', "reply must be an object with a 'scores' list"),
+    ('{"scores": 0.5}', "reply must be an object with a 'scores' list"),
+    ('{"scores": [0.5, NaN]}', "score 1 is not a finite number: nan"),
+    ('{"scores": [Infinity, 0.5]}', "score 0 is not a finite number: inf"),
+    ('{"scores": [0.5, "0.5"]}', "score 1 is not a finite number: '0.5'"),
+])
+def test_reply_of_the_wrong_shape(text, message):
+    with pytest.raises(ModelIOError, match=f"^origin: {re.escape(message)}$"):
+        _parse_scores(text, 2, "origin")
+
+
 class TestSubprocess:
     def test_scores_instances(self):
         handle = external_model(worker_spec())
@@ -78,10 +90,11 @@ class TestSubprocess:
             handle.close()
 
     def test_batching_splits_requests(self):
-        handle = external_model(worker_spec(COUNTER), batch_size=2)
+        handle = external_model(worker_spec(COUNTER))
+        handle.BATCH_ROWS = 2
         try:
             scores = handle.score_batch([(float(i),) for i in range(5)])
-            # 5 instances at batch_size 2 -> 3 requests; per-request constant score.
+            # 5 instances at 2 rows per request -> 3 requests; per-request constant score.
             assert scores.tolist() == [0.1, 0.1, 0.2, 0.2, 0.3]
         finally:
             handle.close()
@@ -90,7 +103,8 @@ class TestSubprocess:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400],
                              ids=["nan", "inf", "-inf", "10**400"])
     def test_non_finite_number_never_sent(self, bad):
-        handle = external_model(worker_spec(COUNTER), batch_size=1)
+        handle = external_model(worker_spec(COUNTER))
+        handle.BATCH_ROWS = 1
         try:
             with pytest.raises(EncodeError):
                 handle.score((bad, "a"))
@@ -278,11 +292,6 @@ def test_unknown_scheme():
         external_model("carrier-pigeon:coop")
 
 
-def test_bad_batch_size():
-    with pytest.raises(ConfigError):
-        external_model(worker_spec(), batch_size=0)
-
-
 class RecordingTransport:
     def __init__(self):
         self.payloads = []
@@ -297,5 +306,5 @@ class RecordingTransport:
 
 def test_negative_zero_sent_as_zero():
     transport = RecordingTransport()
-    ExternalHandle(transport, batch_size=4).score((-0.0, "a"))
+    ExternalHandle(transport).score((-0.0, "a"))
     assert transport.payloads == ['{"instances": [[0.0, "a"]]}']

@@ -83,6 +83,14 @@ class TestKnn:
         assert model.score((10.0, "red")) == pytest.approx(1.0 / 3.0)
         assert model.predict((10.0, "red")) == 0
 
+    def test_rejects_unlabeled_or_empty(self, tiny_dataset, tiny_stats):
+        unlabeled = Dataset(tiny_dataset.schema, tiny_dataset.rows)
+        with pytest.raises(TrainError, match="^training dataset has no labels$"):
+            train_knn_classifier(tiny_stats, unlabeled, k=1)
+        empty = Dataset(tiny_dataset.schema, [], labels=[])
+        with pytest.raises(TrainError, match="^cannot train on an empty dataset$"):
+            train_knn_classifier(tiny_stats, empty, k=1)
+
     def test_k_must_be_odd(self, tiny_dataset, tiny_stats):
         with pytest.raises(ConfigError):
             train_knn_classifier(tiny_stats, tiny_dataset, k=2)

@@ -11,6 +11,7 @@ dataset is checked by their encoding plan alone.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,43 @@ def test_overflow_is_inf_without_a_warning(tiny):
         assert hexes([model.score(far)]) == hexes(model.score_batch([far]))
         assert hexes(model.swap_state(far, target).scores([1])) == hexes(
             model.score_batch([hybrid]))
+
+
+# The row rule takes a numpy.float64 (a float subclass); its quotient must
+# not follow numpy's scalar rules, which warn where a float gives inf.
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_float_encodes_as_its_python_float():
+    schema = [FeatureSpec(name, FeatureKind.NUMERICAL) for name in ("a", "b")]
+    table = Dataset(schema, [(0.0, 0.0), (5e-324, 1.0)], [0, 1])
+    stats = fit_stats(table)
+    far, plain = (np.float64(1000.0), np.float64(0.5)), (1000.0, 0.5)
+    assert encode(stats, far).tobytes() == encode(stats, plain).tobytes()
+    assert encode_batch(stats, [far]).tobytes() == encode(stats, plain).tobytes()
+    ae = train_autoencoder(table, AEConfig(epochs=1), stats)
+    assert ae_error(ae, stats, far) == ae_scorer(ae, stats)(far) == math.inf
+
+
+# Over training values 0.0 and 5e-324, 1000.0 encodes as inf in both
+# features. The logistic coefficients have opposite signs, so the dot product
+# is inf - inf; the autoencoder's first layer meets the same sum.
+@pytest.mark.filterwarnings("error")
+def test_inf_minus_inf_cannot_be_scored_but_is_implausible():
+    schema = [FeatureSpec(name, FeatureKind.NUMERICAL) for name in ("a", "b")]
+    table = Dataset(schema, [(0.0, 5e-324), (5e-324, 0.0)], [0, 1])
+    stats = fit_stats(table)
+    far, current, target = (1000.0, 1000.0), (1000.0, 0.0), (0.0, 1000.0)
+    model = train_logistic(stats, table, epochs=5)
+    assert model.coef[0] > 0.0 > model.coef[1]
+    calls = (lambda: model.score(far), lambda: model.score_batch([table.rows[0], far]),
+             lambda: model.predict(far), lambda: model.swap_state(current, target).scores([0, 1]))
+    for call in calls:
+        with pytest.raises(EncodeError, match=r"^row cannot be scored: its encoding adds \+inf and -inf$"):
+            call()
+    ae = train_autoencoder(table, AEConfig(epochs=5), stats)
+    scorer = ae_scorer(ae, stats)
+    assert ae_error(ae, stats, far) == scorer(far) == math.inf
+    assert swap_state(scorer, current, target).scores([0, 1]) == [
+        ae_error(ae, stats, (0.0, 0.0)), math.inf]
 
 
 def test_fitted_statistics_are_one_plan_with_the_schema_rule(mixed_dataset):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import statistics
 
 import numpy as np
 import pytest
@@ -151,6 +153,25 @@ class TestLoadDataset:
         with pytest.raises(IngestError):
             load_dataset(schema, data)
 
+    @pytest.mark.parametrize("label", [5, ["label"]])
+    def test_non_string_label_name_rejected(self, tmp_path, label):
+        schema, data = write_pair(tmp_path, {**BASIC_SCHEMA, "label": label},
+                                  "age,color,label\n30,red,0\n")
+        with pytest.raises(IngestError, match="^schema 'label' must be a string or null$"):
+            load_dataset(schema, data)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("30,red,0\n40,blue", "expected 3 cells, got 2 (row=1)"),
+        ("30,red,0,1", "expected 3 cells, got 4 (row=0)"),
+        ("30,red,0\n40,blue, ", "missing value (row=1, column='label')"),
+        ("30,red,yes", "label must be 0 or 1, got 'yes' (row=0, column='label')"),
+        ("30,red,0.5", "label must be 0 or 1, got '0.5' (row=0, column='label')"),
+    ])
+    def test_bad_row_reports_its_location(self, tmp_path, lines, message):
+        schema, data = write_pair(tmp_path, BASIC_SCHEMA, f"age,color,label\n{lines}\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+            load_dataset(schema, data)
+
 
 class TestFitStats:
     def test_numerical_values(self, tiny_dataset):
@@ -194,6 +215,30 @@ class TestFitStats:
         with pytest.raises(StatsError):
             FeatureStats(name="c", kind=FeatureKind.CATEGORICAL,
                          categories=("a",), mode="b")
+
+    # The square of 1e300 overflows, and the sum of 1.5e308 and 1.6e308 does;
+    # the true mean and std fit a float all the same.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column", [(0.0, 1e300, 1.0), (1.5e308, 1.6e308), (-1e300, -3e300)])
+    def test_mean_and_std_of_huge_values_are_finite(self, column):
+        s = fit_stats(Dataset([FeatureSpec("x", FeatureKind.NUMERICAL)], [(v,) for v in column]))[0]
+        assert s.mean == pytest.approx(statistics.mean(column), rel=1e-12)
+        assert s.std == pytest.approx(statistics.pstdev(column), rel=1e-12)
+
+    def test_ordinary_columns_keep_numpys_bits(self, mixed_dataset):
+        for s, column in zip(fit_stats(mixed_dataset), mixed_dataset.columns()):
+            if s.kind is FeatureKind.NUMERICAL:
+                assert (s.mean, s.std) == (float(column.mean()), float(column.std()))
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_too_large_for_a_float_rejected(self):
+        ds = Dataset([FeatureSpec("x", FeatureKind.NUMERICAL)], [(-1.5e308,), (1.5e308,)])
+        with pytest.raises(StatsError, match="non-finite range inf for 'x'"):
+            fit_stats(ds)
+        for span in (math.inf, math.nan):
+            with pytest.raises(StatsError, match=f"non-finite range {span} for 'x'"):
+                FeatureStats(name="x", kind=FeatureKind.NUMERICAL, min=0.0, max=1.0,
+                             range=span, mean=0.5, std=0.1)
 
 
 class TestSplit:
@@ -303,6 +348,16 @@ class TestDataset:
         with pytest.raises(IngestError) as err:
             Dataset(schema, [(1.0,), (2.0,), (3.0,)], labels=[0, bad, 1])
         assert err.value.row == 1
+
+    def test_int_too_large_for_a_float_rejected(self):
+        # The one row rule's branch that hypothesis reaches only when it draws 10**400.
+        schema = [FeatureSpec("x", FeatureKind.NUMERICAL)]
+        message = "integer out of float range for 'x'"
+        with pytest.raises(IngestError, match=f"^{message} \\(row=1, column='x'\\)$"):
+            Dataset(schema, [(1,), (10**400,)])
+        stats = fit_stats(Dataset(schema, [(1,), (2.0,)]))
+        with pytest.raises(EncodeError, match=f"^{message}$"):
+            encode(stats, (-(10**400),))
 
     def test_label_length_mismatch(self):
         schema = [FeatureSpec("x", FeatureKind.NUMERICAL)]
