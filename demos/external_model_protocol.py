@@ -7,6 +7,7 @@ small inline Python script that scores by a hand-written rule.
 """
 
 import sys
+from contextlib import closing
 
 from nicecf.explainers import RewardKind, SearchContext, explain_nice
 from nicecf.model import external_model
@@ -27,20 +28,20 @@ for line in sys.stdin:
 data = make_dataset(150, 3, 1, seed=19, noise=0.0)
 stats = fit_stats(data)
 
-# proc: specs launch the command and keep it alive across batches
-model = external_model(f"proc:{sys.executable} -u -c '{WORKER}'")
+# proc: specs launch the command and keep it alive across batches; closing
+# the model ends the worker and its pipes
+with closing(external_model(f"proc:{sys.executable} -u -c '{WORKER}'")) as model:
+    probe = data.rows[0]
+    print(f"worker scores {probe} as p = {model.score(probe):.4f}")
+    print(f"batch of 5 scores: {[round(float(p), 3) for p in model.score_batch(data.rows[:5])]}")
 
-probe = data.rows[0]
-print(f"worker scores {probe} as p = {model.score(probe):.4f}")
-print(f"batch of 5 scores: {[round(float(p), 3) for p in model.score_batch(data.rows[:5])]}")
-
-# the search does not care where the scores come from
-ctx = SearchContext(data, stats, model, scorer=lambda x: 0.0)
-ctx.warm()
-n_valid = sum(
-    explain_nice(x0, RewardKind.SPARSITY, ctx).valid for x0 in data.rows[:20]
-)
-print(f"hybrid search through the subprocess: {n_valid}/20 valid")
+    # the search does not care where the scores come from
+    ctx = SearchContext(data, stats, model, scorer=lambda x: 0.0)
+    ctx.warm()
+    n_valid = sum(
+        explain_nice(x0, RewardKind.SPARSITY, ctx).valid for x0 in data.rows[:20]
+    )
+    print(f"hybrid search through the subprocess: {n_valid}/20 valid")
 
 # http: specs post the same JSON bodies to a URL instead, e.g.
 #   external_model("http://localhost:8000/score")

@@ -194,7 +194,7 @@ def _load_weights(args, stats) -> tuple[float, ...] | None:
     if not args.weights:
         return None
     try:
-        doc = json.loads(Path(args.weights).read_text())
+        doc = json.loads(Path(args.weights).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # also: over 4300 digits, too deep nesting
         raise ConfigError(f"weights file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

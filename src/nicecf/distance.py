@@ -144,9 +144,11 @@ def _weighted_scan(
 def k_smallest(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries of ``d``, ordered by (value, index).
 
-    Equal to ``np.lexsort((np.arange(len(d)), d))[:k]``, but sorts only the
-    entries not above the k-th smallest value, which ``np.partition`` finds.
-    NaN sorts last, so a NaN k-th value keeps every entry.
+    The one rule by which training rows are chosen by distance: ties, ``inf``
+    with ``inf`` included, go to the smaller index. NaN sorts last, so a NaN
+    k-th value keeps every entry. Equal to
+    ``np.lexsort((np.arange(len(d)), d))[:k]``, but sorts only the entries
+    not above the k-th smallest value, which ``np.partition`` finds.
     """
     kth = np.partition(d, k - 1)[k - 1]
     candidates = np.flatnonzero(~(d > kth))
@@ -160,7 +162,7 @@ def k_nearest(
     k: int,
     weights: Sequence[float] | None = None,
 ) -> list[int]:
-    """Indices of the k nearest rows, closest first; distance ties break by row index."""
+    """Indices of the k nearest rows, in :func:`k_smallest` order."""
     if k < 1:
         raise DistanceError(f"k must be >= 1, got {k}")
     if k > len(dataset):
@@ -180,8 +182,8 @@ def nearest_unlike_neighbor(
     """Index of the nearest correctly-predicted training row of the other class.
 
     Candidate rows must both be predicted differently from ``predicted_class``
-    and carry a ground-truth label equal to their own prediction. Distance
-    ties break toward the smaller row index. Raises
+    and carry a ground-truth label equal to their own prediction; the nearest
+    is the first of them in :func:`k_smallest` order. Raises
     :class:`NoUnlikeNeighborError` when no row qualifies.
     """
     if train.labels is None:
@@ -190,11 +192,10 @@ def nearest_unlike_neighbor(
         raise DistanceError("one prediction per training row is required")
     preds = np.asarray(train_predictions, dtype=np.int64)
     labels = train.label_array()
-    eligible = (preds != predicted_class) & (labels == preds)
-    if not bool(eligible.any()):
+    rows = np.flatnonzero((preds != predicted_class) & (labels == preds))
+    if len(rows) == 0:
         raise NoUnlikeNeighborError(
             "no correctly-predicted training instance of the opposite class"
         )
     d = heom_to_rows(stats, x, train, weights)
-    d = np.where(eligible, d, np.inf)
-    return int(np.argmin(d))
+    return int(rows[k_smallest(d[rows], 1)[0]])

@@ -268,13 +268,17 @@ def write_timings_csv(records: Sequence[MetricRecord], path: str | Path) -> None
             writer.writerow([r.instance_id, r.explainer_id, repr(r.time_ms)])
 
 
-def summarize_records(records: Sequence[MetricRecord], alpha: float = 0.05) -> dict:
+# Significance level of every summary's Friedman tests and Nemenyi critical difference.
+_ALPHA = 0.05
+
+
+def summarize_records(records: Sequence[MetricRecord]) -> dict:
     """Aggregate records into a JSON-ready summary.
 
     Per explainer: coverage and mean quality metrics over its valid attempts.
     Per metric: mean ranks, the Friedman statistic with its rejection flag,
     the count of instances each explainer ranks best on, and the Nemenyi
-    critical difference. Timing is deliberately absent.
+    critical difference, at alpha 0.05. Timing is deliberately absent.
     """
     if not records:
         raise EvalError("cannot summarize an empty record list")
@@ -316,17 +320,17 @@ def summarize_records(records: Sequence[MetricRecord], alpha: float = 0.05) -> d
             },
         }
         if n_instances >= 2 and k >= 2:
-            entry["friedman_statistic"], entry["friedman_reject"] = friedman_test(table, alpha)
+            entry["friedman_statistic"], entry["friedman_reject"] = friedman_test(table, _ALPHA)
         ranking[metric] = entry
     summary = {
         "instances": n_instances,
         "explainers": list(grid.explainer_ids),
-        "alpha": alpha,
+        "alpha": _ALPHA,
         "per_explainer": per_explainer,
         "ranking": ranking,
     }
     if 2 <= k <= 10:
-        summary["nemenyi_cd"] = nemenyi_cd(k, n_instances, alpha)
+        summary["nemenyi_cd"] = nemenyi_cd(k, n_instances, _ALPHA)
     return summary
 
 

@@ -49,6 +49,7 @@ from .distance import (
     check_weights,
     heom_feature,
     heom_to_rows,
+    k_smallest,
     nearest_unlike_neighbor,
 )
 from .errors import ConfigError, NoUnlikeNeighborError
@@ -375,16 +376,14 @@ def _wit_distances(ctx: SearchContext, x0: Instance) -> np.ndarray:
 def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     """Return the nearest training row predicted as the other class.
 
-    No correctness filter: a misclassified training row qualifies. Distance
-    ties break toward the smaller row index.
+    No correctness filter: a misclassified training row qualifies. The
+    nearest is the first such row in :func:`k_smallest` order.
     """
     t0, _, c0 = _classify(x0, ctx)
-    preds = ctx.train_predictions()
-    eligible = preds != c0
-    if not bool(eligible.any()):
+    rows = np.flatnonzero(ctx.train_predictions() != c0)
+    if len(rows) == 0:
         raise NoUnlikeNeighborError("no training instance is predicted as the opposite class")
-    d = np.where(eligible, _wit_distances(ctx, x0), np.inf)
-    index = int(np.argmin(d))
+    index = int(rows[k_smallest(_wit_distances(ctx, x0)[rows], 1)[0]])
     counterfactual = ctx.train.rows[index]
     return _explanation("wit", x0, counterfactual, True, t0, (), counterfactual, index)
 
@@ -413,16 +412,17 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     Among all training pairs predicted as different classes and differing in
     at most two features, pick the one whose member sharing the source's
     predicted class is nearest to the source, then copy the pair's differing
-    values from the opposite member into the source. Distance ties go to the
-    first pair in case-base order. An empty case base, or a copy that fails
-    to flip the class, yields ``valid=False``.
+    values from the opposite member into the source. The pair is the first
+    in :func:`k_smallest` order of those members' distances, so ties go to
+    the first pair in case-base order. An empty case base, or a copy that
+    fails to flip the class, yields ``valid=False``.
     """
     t0, _, c0 = _classify(x0, ctx)
     base = ctx.case_base()
     if len(base) == 0:
         return _explanation("cbr", x0, tuple(x0), False, t0)
     d = heom_to_rows(ctx.stats, x0, ctx.train, ctx.weights)
-    pair = base[int(np.argmin(d[base[:, c0]]))]
+    pair = base[k_smallest(d[base[:, c0]], 1)[0]]
     same_row, other_row = ctx.train.rows[pair[c0]], ctx.train.rows[pair[1 - c0]]
     counterfactual = tuple(
         o if s != o else v for v, s, o in zip(x0, same_row, other_row)
@@ -431,15 +431,11 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     return _explanation("cbr", x0, counterfactual, valid, t0)
 
 
-def explanation_to_dict(
-    expl: Explanation,
-    feature_names: Sequence[str],
-    metrics: dict | None = None,
-) -> dict:
+def explanation_to_dict(expl: Explanation, feature_names: Sequence[str], metrics: dict) -> dict:
     """JSON-ready representation of an explanation.
 
     Changed features are reported with their names and old/new values;
-    ``metrics`` (already a plain dict) is attached verbatim when given.
+    ``metrics`` (already a plain dict) is attached verbatim.
     """
     doc = {
         "explainer": expl.explainer_id,
@@ -468,6 +464,5 @@ def explanation_to_dict(
     }
     if expl.anchor_index is not None:
         doc["anchor_index"] = expl.anchor_index
-    if metrics is not None:
-        doc["metrics"] = metrics
+    doc["metrics"] = metrics
     return doc

@@ -37,7 +37,7 @@ from scipy.special import expit
 
 # heom_to_rows is unused here but stays importable from this module:
 # bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
-from .distance import _weighted_scan, check_weights, heom_to_rows, k_smallest  # noqa: F401
+from .distance import _weighted_scan, heom_to_rows, k_smallest  # noqa: F401
 from .errors import ConfigError, EncodeError, ModelIOError, TrainError
 from .tabular import (
     Dataset,
@@ -157,7 +157,7 @@ def train_logistic(
 
 
 class KnnHandle(ClassifierHandle):
-    """k-nearest-neighbor vote over the training rows under the mixed-type metric.
+    """k-nearest-neighbor vote over the training rows under the unweighted mixed-type metric.
 
     A batch is scored in chunks of at most ``CHUNK_ROWS`` rows. Each chunk is
     one ``_weighted_scan`` (per-feature terms shared by the rows holding the
@@ -174,19 +174,13 @@ class KnnHandle(ClassifierHandle):
 
     CHUNK_ROWS = 64
 
-    def __init__(
-        self,
-        stats: Sequence[FeatureStats],
-        train: Dataset,
-        k: int,
-        weights: tuple[float, ...],
-    ):
+    def __init__(self, stats: Sequence[FeatureStats], train: Dataset, k: int):
         self.stats = _plan(stats)
         self.stats._check_dataset(train)
         self.train = train
         self.k = k
-        self.weights = weights
         self._ranges = [s.range for s in self.stats]
+        self._weights = (1.0,) * len(self.stats)
         self._labels = train.label_array()
 
     def swap_state(self, current: Instance, target: Instance) -> HybridSwaps:
@@ -200,7 +194,7 @@ class KnnHandle(ClassifierHandle):
         out = np.empty(len(xs), dtype=np.float64)
         for start in range(0, len(xs), self.CHUNK_ROWS):
             chunk = xs[start : start + self.CHUNK_ROWS]
-            d = _weighted_scan(self.stats, self._ranges, chunk, self.train, self.weights)
+            d = _weighted_scan(self.stats, self._ranges, chunk, self.train, self._weights)
             for i, row in enumerate(d, start):
                 out[i] = float(self._labels[k_smallest(row, self.k)].sum()) / self.k
         return out
@@ -210,14 +204,13 @@ def train_knn_classifier(
     stats: Sequence[FeatureStats],
     train: Dataset,
     k: int = 5,
-    weights: Sequence[float] | None = None,
 ) -> KnnHandle:
     """Memorize the training rows; score = class-1 fraction among the k nearest.
 
     ``k`` must be odd so a vote can never split evenly, and no larger than the
-    training set. Distances are the weighted HEOM of :func:`heom_to_rows`, and
-    distance ties break toward the smaller row index. ``stats`` must name the
-    training schema's features in order.
+    training set. Distances are the unweighted HEOM of :func:`heom_to_rows`,
+    and the k nearest are the first k in :func:`k_smallest` order. ``stats``
+    must name the training schema's features in order.
     """
     if train.labels is None:
         raise TrainError("training dataset has no labels")
@@ -227,7 +220,7 @@ def train_knn_classifier(
         raise ConfigError(f"k must be a positive odd number, got {k}")
     if k > len(train):
         raise ConfigError(f"k={k} exceeds training size {len(train)}")
-    return KnnHandle(stats, train, k, check_weights(stats, weights))
+    return KnnHandle(stats, train, k)
 
 
 # --- external models -------------------------------------------------------

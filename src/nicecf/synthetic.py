@@ -111,8 +111,9 @@ def save_dataset(
             entry["categories"] = sorted(set(spec.categories or column[1]))
         features.append(entry)
     label_name = "label" if dataset.labels is not None else None
-    Path(schema_path).write_text(json.dumps({"features": features, "label": label_name}))
-    with open(csv_path, "w", newline="") as fh:
+    Path(schema_path).write_text(json.dumps({"features": features, "label": label_name}),
+                                 encoding="utf-8")
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv_mod.writer(fh)
         header = [s.name for s in dataset.schema]
         if label_name:

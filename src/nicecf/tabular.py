@@ -202,7 +202,7 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
     Feature names and the label name must all differ.
     """
     try:
-        doc = json.loads(Path(schema_file).read_text())
+        doc = json.loads(Path(schema_file).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # also: over 4300 digits, too deep nesting
         raise IngestError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("features"), list) or not doc["features"]:
@@ -243,45 +243,48 @@ def load_dataset(schema_file: str | Path, csv_file: str | Path) -> Dataset:
     """
     specs, label_name = load_schema(schema_file)
     expected_header = [s.name for s in specs] + ([label_name] if label_name else [])
-    with open(csv_file, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("CSV file is empty") from None
-        if header != expected_header:
-            raise IngestError(
-                f"CSV header {header!r} does not match schema columns {expected_header!r}"
-            )
-        rows: list[Instance] = []
-        labels: list[int] | None = [] if label_name else None
-        for i, cells in enumerate(reader):
-            if len(cells) != len(expected_header):
+    try:
+        with open(csv_file, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestError("CSV file is empty") from None
+            if header != expected_header:
                 raise IngestError(
-                    f"expected {len(expected_header)} cells, got {len(cells)}", row=i
+                    f"CSV header {header!r} does not match schema columns {expected_header!r}"
                 )
-            values: list[Value] = []
-            for spec, cell in zip(specs, cells):
-                cell = cell.strip()
-                if cell == "":
-                    raise IngestError("missing value", row=i, column=spec.name)
-                try:
-                    values.append(float(cell) if spec.kind is FeatureKind.NUMERICAL else cell)
-                except ValueError:
+            rows: list[Instance] = []
+            labels: list[int] | None = [] if label_name else None
+            for i, cells in enumerate(reader):
+                if len(cells) != len(expected_header):
                     raise IngestError(
-                        f"'{cell}' is not a number", row=i, column=spec.name
-                    ) from None
-            if labels is not None:
-                cell = cells[-1].strip()
-                if cell == "":
-                    raise IngestError("missing value", row=i, column=label_name)
-                try:
-                    labels.append(int(cell))
-                except ValueError:
-                    raise IngestError(
-                        f"label must be 0 or 1, got '{cell}'", row=i, column=label_name
-                    ) from None
-            rows.append(tuple(values))
+                        f"expected {len(expected_header)} cells, got {len(cells)}", row=i
+                    )
+                values: list[Value] = []
+                for spec, cell in zip(specs, cells):
+                    cell = cell.strip()
+                    if cell == "":
+                        raise IngestError("missing value", row=i, column=spec.name)
+                    try:
+                        values.append(float(cell) if spec.kind is FeatureKind.NUMERICAL else cell)
+                    except ValueError:
+                        raise IngestError(
+                            f"'{cell}' is not a number", row=i, column=spec.name
+                        ) from None
+                if labels is not None:
+                    cell = cells[-1].strip()
+                    if cell == "":
+                        raise IngestError("missing value", row=i, column=label_name)
+                    try:
+                        labels.append(int(cell))
+                    except ValueError:
+                        raise IngestError(
+                            f"label must be 0 or 1, got '{cell}'", row=i, column=label_name
+                        ) from None
+                rows.append(tuple(values))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"CSV file is not UTF-8: {exc}") from exc
     if not rows:
         raise IngestError("CSV file has a header but no data rows")
     return Dataset(specs, rows, labels)

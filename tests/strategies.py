@@ -94,7 +94,7 @@ def rows_with_one_bad_value(draw):
 
 @st.composite
 def knn_problems(draw):
-    """A labeled random table, a k that fits it, weights, and a batch to score.
+    """A labeled random table, a k that fits it, and a batch to score.
 
     Ties in distance are frequent, since numbers may come from a small set.
     The batch holds greedy-search candidates (the extra instance with one
@@ -107,13 +107,12 @@ def knn_problems(draw):
     table = Dataset(table.schema, table.rows, labels)
     k = draw(st.sampled_from([k for k in (1, 3, 5) if k <= n]))
     m = len(extra)
-    weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
     target = draw(st.sampled_from(table.rows))
     candidates = [extra[:j] + (target[j],) + extra[j + 1 :]
                   for j in range(m) if extra[j] != target[j]]
     pool = candidates + list(table.rows) + [extra]
     batch = draw(st.permutations(candidates + draw(st.lists(st.sampled_from(pool), max_size=12))))
-    return table, k, weights, batch
+    return table, k, batch
 
 
 @st.composite
@@ -145,7 +144,7 @@ def nearest_order(stats, x, table, weights=None):
     return sorted(range(len(d)), key=lambda i: (d[i], i))
 
 
-def knn_reference_score(stats, x, table, k, weights=None):
-    """Mean label of the k rows nearest to ``x`` under ``nearest_order``."""
-    nearest = nearest_order(stats, x, table, weights)[:k]
+def knn_reference_score(stats, x, table, k):
+    """Mean label of the k rows nearest to ``x`` under unweighted ``nearest_order``."""
+    nearest = nearest_order(stats, x, table)[:k]
     return float(np.mean(np.asarray([table.labels[i] for i in nearest], dtype=np.float64)))

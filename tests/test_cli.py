@@ -207,6 +207,20 @@ class TestEmptyInputs:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+def test_csv_that_is_not_utf8_is_an_input_error(command, tmp_path, capsys):
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"features": [{"name": "c", "kind": "categorical"}], "label": "label"}))
+    # The byte 0xff comes after the first read buffer, so rows were read already.
+    (tmp_path / "data.csv").write_bytes(b"c,label\n" + b"a,0\nb,1\n" * 2000 + b"\xff,1\n")
+    extra = [a.format(out=tmp_path / "out") for a in LOADING_COMMANDS[command]]
+    code = run_command([command, "--schema", str(tmp_path / "schema.json"),
+                        "--data", str(tmp_path / "data.csv"), *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: CSV file is not UTF-8: ")
+    assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def test_train_subcommand_removed(self, data_files, tmp_path, capsys):
         code = run_command(
@@ -395,6 +409,26 @@ class TestBenchmark:
         assert self.run_benchmark(data_files, out3, "--workers", "3") == 0
         for name in ("records.csv", "summary.json", "report.txt"):
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
+    def test_workers_share_one_proc_worker_without_mixing_replies(self, data_files, tmp_path):
+        # Three threads contend for one worker's pipes, switching often. A reply paired
+        # with another thread's request changes a score or its count, and unpaired
+        # reads can block for good, so each run is a child process with a deadline.
+        contend = ("import sys; from nicecf.cli import run_command; "
+                   "sys.setswitchinterval(1e-5); sys.exit(run_command(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(nicecf.__file__).resolve().parents[1]),
+                          os.environ.get("PYTHONPATH")]))}
+        for workers in ("1", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-c", contend, "benchmark", *common(data_files),
+                 "--model", proc_spec(SCORING_WORKER), "--out", str(tmp_path / workers),
+                 "--workers", workers],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("records.csv", "summary.json", "report.txt"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_explainer_subset(self, data_files, tmp_path, capsys):
         code = self.run_benchmark(

@@ -1,4 +1,8 @@
-"""Every script in demos/ runs to completion against this tree's package."""
+"""Every script in demos/ runs to completion against this tree's package.
+
+Each runs with warnings as errors and must print nothing to stderr, so a
+demo that leaves a worker process or a pipe open fails here.
+"""
 
 import os
 import subprocess
@@ -22,7 +26,7 @@ def test_demo_runs(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -30,3 +34,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -419,9 +419,10 @@ SUMMARY_RECORDS = [
 
 class TestSummarize:
     def test_summary_contents(self):
-        summary = summarize_records(SUMMARY_RECORDS, alpha=0.05)
+        summary = summarize_records(SUMMARY_RECORDS)
         assert summary["instances"] == 3
         assert summary["explainers"] == ["a", "b"]
+        assert summary["alpha"] == 0.05
         per = summary["per_explainer"]
         assert per["a"]["coverage"] == pytest.approx(2 / 3)
         assert per["b"]["coverage"] == 1.0
@@ -465,7 +466,7 @@ class TestSummarize:
             summarize_records([])
 
     def test_report_rendering(self):
-        summary = summarize_records(SUMMARY_RECORDS, alpha=0.05)
+        summary = summarize_records(SUMMARY_RECORDS)
         text = render_report(summary)
         assert "Panel A: coverage" in text
         assert "Panel B: mean ranks" in text
@@ -474,7 +475,7 @@ class TestSummarize:
             assert f"\n{eid.ljust(12)}" in text
         assert "critical difference (mean ranks):" in text
         # same summary renders to the same text
-        assert text == render_report(summarize_records(SUMMARY_RECORDS, alpha=0.05))
+        assert text == render_report(summarize_records(SUMMARY_RECORDS))
 
 
 class TestCsvWriters:

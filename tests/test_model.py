@@ -117,12 +117,12 @@ class TestKnn:
     @settings(max_examples=300, deadline=None)
     @given(knn_problems(), st.sampled_from((1, 2, 5, KnnHandle.CHUNK_ROWS)))
     def test_score_batch_matches_scalar_reference(self, problem, chunk_rows):
-        table, k, weights, batch = problem
+        table, k, batch = problem
         stats = fit_stats(table)
-        model = train_knn_classifier(stats, table, k, weights)
+        model = train_knn_classifier(stats, table, k)
         model.CHUNK_ROWS = chunk_rows
         scores = model.score_batch(batch)
-        expected = [knn_reference_score(stats, x, table, k, weights) for x in batch]
+        expected = [knn_reference_score(stats, x, table, k) for x in batch]
         assert [float(v).hex() for v in scores] == [v.hex() for v in expected]
 
     def test_batch_longer_than_one_chunk(self, quantized_dataset):

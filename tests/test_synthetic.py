@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +39,25 @@ def test_saved_pair_loads_back(tmp_path):
     assert label == "label"
     loaded = load_dataset(*files)
     assert (loaded.rows, loaded.labels) == (data.rows, data.labels)
+
+
+# Run where the locale's encoding is ASCII: saving and loading must not depend on it.
+ROUND_TRIP = r"""
+from nicecf.synthetic import save_dataset
+from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, load_dataset
+data = Dataset([FeatureSpec("city", FeatureKind.CATEGORICAL)],
+               [("Z\u00fcrich",), ("\u00c6r\u00f8",)], [0, 1])
+save_dataset(data, "schema.json", "data.csv")
+loaded = load_dataset("schema.json", "data.csv")
+assert (loaded.rows, loaded.labels) == (data.rows, data.labels), loaded.rows
+"""
+
+
+def test_non_ascii_labels_round_trip_in_utf8_whatever_the_locale(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", ROUND_TRIP], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Z\u00fcrich" in (tmp_path / "data.csv").read_text(encoding="utf-8")
