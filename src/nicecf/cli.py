@@ -19,16 +19,14 @@ import json
 import logging
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .distance import check_weights
-from .errors import ConfigError, DistanceError, EngineError, IngestError, NoUnlikeNeighborError
+from .errors import ConfigError, DistanceError, EngineError, IngestError
 from .evaluation import (
-    MetricRecord,
     compute_metrics,
     cross_model_robustness,
     render_report,
@@ -226,9 +224,7 @@ def _build_model(spec: str, stats, train: Dataset) -> ClassifierHandle:
         except ValueError:
             raise ConfigError(f"bad neighbor count in model spec '{spec}'") from None
         return train_knn_classifier(stats, train, k=k)
-    if spec.startswith(("proc:", "http:")):
-        return external_model(spec)
-    raise ConfigError(f"unrecognized model spec '{spec}'")
+    return external_model(spec)
 
 
 def _parse_explainers(text: str) -> list[str]:
@@ -269,33 +265,22 @@ def _emit(args, name: str, payload) -> None:
         print(f"wrote {path}")
 
 
-Attempt = tuple[int, str, Explanation | None, float]
-
-
 def _run_instances(
     instances: Sequence[tuple[int, Instance]], explainer_ids: Sequence[str],
     ctx: SearchContext, workers: int,
-) -> list[Attempt]:
+) -> list[tuple[int, Explanation]]:
     """The one batch path: run every explainer on every ``(instance id, row)`` pair.
 
     Warms ``ctx`` first, so workers share a read-only context. Returns one
-    ``(instance_id, explainer_id, explanation-or-None, elapsed_ms)`` per attempt,
-    instance-major; None marks an attempt that found no unlike neighbor.
+    ``(instance_id, explanation)`` pair per attempt, instance-major; an attempt
+    that found no counterfactual is an explanation with ``valid=False``.
     """
     ctx.warm(include_case_base="cbr" in explainer_ids)
-    fns = [(eid, _explainer_fn(eid)) for eid in explainer_ids]
+    fns = [_explainer_fn(eid) for eid in explainer_ids]
 
-    def one(instance: tuple[int, Instance]) -> list[Attempt]:
+    def one(instance: tuple[int, Instance]) -> list[tuple[int, Explanation]]:
         iid, x0 = instance
-        attempts = []
-        for eid, fn in fns:
-            t0 = time.perf_counter()
-            try:
-                expl = fn(x0, ctx)
-                attempts.append((iid, eid, expl, expl.elapsed_ms))
-            except NoUnlikeNeighborError:
-                attempts.append((iid, eid, None, (time.perf_counter() - t0) * 1000.0))
-        return attempts
+        return [(iid, fn(x0, ctx)) for fn in fns]
 
     # Inline for one worker: a pool's exit would make Ctrl-C wait out every queued task.
     if workers == 1:
@@ -350,13 +335,7 @@ def _cmd_explain(args) -> int:
         attempts = _run_instances(rows, [f"nice-{args.variant}"], ctx, args.workers)
     names = [s.name for s in data.schema]
     docs = []
-    for row_index, eid, expl, elapsed in attempts:
-        if expl is None:
-            docs.append(
-                {"explainer": eid, "row": row_index, "valid": False,
-                 "error": "no unlike neighbor", "elapsed_ms": elapsed}
-            )
-            continue
+    for row_index, expl in attempts:
         rec = compute_metrics(expl, ctx, row_index)
         doc = explanation_to_dict(
             expl, names,
@@ -371,7 +350,7 @@ def _cmd_explain(args) -> int:
 
 def _explain_test_split(
     args, spec: str, explainer_ids: Sequence[str]
-) -> tuple[SearchContext, list[Attempt]]:
+) -> tuple[SearchContext, list[tuple[int, Explanation]]]:
     """Explain the test split; the returned context's model is already closed.
 
     Only ``benchmark`` makes metric records from the attempts; ``robustness`` makes none.
@@ -386,11 +365,7 @@ def _explain_test_split(
 def _cmd_benchmark(args) -> int:
     spec = _single_model_spec(args)
     ctx, attempts = _explain_test_split(args, spec, _parse_explainers(args.explainers))
-    records = [
-        MetricRecord(iid, eid, False, elapsed) if expl is None
-        else compute_metrics(expl, ctx, iid)
-        for iid, eid, expl, elapsed in attempts
-    ]
+    records = [compute_metrics(expl, ctx, iid) for iid, expl in attempts]
     out = _ensure_out(args)
     write_records_csv(records, out / "records.csv")
     write_timings_csv(records, out / "timings.csv")
@@ -411,12 +386,12 @@ def _cmd_robustness(args) -> int:
     fractions: dict[str, float | None] = {}
     with closing(_build_model(specs[1], ctx.stats, ctx.train)) as other:
         for eid in explainer_ids:
-            valid = [e for _, e_id, e, _ in attempts if e_id == eid and e is not None and e.valid]
+            valid = [e for _, e in attempts if e.explainer_id == eid and e.valid]
             fractions[eid] = cross_model_robustness(valid, other) if valid else None
     _emit(args, "robustness.json", {
         "model": specs[0],
         "against": specs[1],
-        "instances": len({iid for iid, _, _, _ in attempts}),
+        "instances": len({iid for iid, _ in attempts}),
         "robustness": fractions,
     })
     return 0

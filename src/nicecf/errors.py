@@ -56,8 +56,8 @@ class ModelIOError(EngineError):
 
 
 class NoUnlikeNeighborError(EngineError):
-    """No training row is predicted as the opposite class (and, where required,
-    correctly classified), so no nearest unlike neighbor exists."""
+    """Raised by :func:`~nicecf.distance.nearest_unlike_neighbor` when no training
+    row is both predicted as the opposite class and correctly classified."""
 
 
 class EvalError(EngineError):

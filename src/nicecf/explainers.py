@@ -79,9 +79,11 @@ class Explanation:
     """Result of one explainer run.
 
     ``anchor``/``anchor_index`` identify the training row the search moved
-    toward (None for explainers without a row anchor). ``changed_features``
-    holds exactly the positions where the counterfactual differs from the
-    source. ``valid`` is True when the predicted class actually flipped.
+    toward (None for explainers without a row anchor, and when no such row
+    exists). ``changed_features`` holds exactly the positions where the
+    counterfactual differs from the source. ``valid`` is True when the
+    predicted class actually flipped; every explainer reports a failed
+    attempt as ``valid=False``, never by raising.
     """
 
     explainer_id: str
@@ -352,12 +354,17 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     With kind none the anchor is returned as-is; otherwise the greedy search
     copies anchor values with the given reward. Termination with a flip is
     guaranteed because the last remaining candidate is the anchor itself.
+    When no unlike neighbor exists, the result is the source unchanged with
+    ``valid=False`` and no anchor.
     """
     if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
         raise ConfigError("plausibility search requires a scorer on the context")
     t0, p0, c0 = _classify(x0, ctx)
     preds = ctx.train_predictions()
-    nn_index = nearest_unlike_neighbor(ctx.stats, x0, ctx.train, preds, c0, ctx.weights)
+    try:
+        nn_index = nearest_unlike_neighbor(ctx.stats, x0, ctx.train, preds, c0, ctx.weights)
+    except NoUnlikeNeighborError:
+        return _explanation(f"nice-{kind.value}", x0, tuple(x0), False, t0)
     x_nn = ctx.train.rows[nn_index]
     if kind is RewardKind.NONE:
         counterfactual, trace, valid = x_nn, (), True
@@ -377,12 +384,13 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     """Return the nearest training row predicted as the other class.
 
     No correctness filter: a misclassified training row qualifies. The
-    nearest is the first such row in :func:`k_smallest` order.
+    nearest is the first such row in :func:`k_smallest` order. When no row
+    qualifies, the result is the source unchanged with ``valid=False``.
     """
     t0, _, c0 = _classify(x0, ctx)
     rows = np.flatnonzero(ctx.train_predictions() != c0)
     if len(rows) == 0:
-        raise NoUnlikeNeighborError("no training instance is predicted as the opposite class")
+        return _explanation("wit", x0, tuple(x0), False, t0)
     index = int(rows[k_smallest(_wit_distances(ctx, x0)[rows], 1)[0]])
     counterfactual = ctx.train.rows[index]
     return _explanation("wit", x0, counterfactual, True, t0, (), counterfactual, index)

@@ -378,7 +378,7 @@ def external_model(spec: str) -> ExternalHandle:
     ``proc:CMD`` starts CMD as a worker process speaking newline-delimited
     JSON on stdin/stdout. ``http:URL`` posts to URL; the URL may carry its
     own scheme (``http:https://host/score``) or omit it (``http://host`` and
-    ``http:host:8000/score`` both work).
+    ``http:host:8000/score`` both work). Any other spec raises :class:`ConfigError`.
     """
     if spec.startswith("proc:"):
         command = spec[len("proc:") :]
@@ -396,4 +396,4 @@ def external_model(spec: str) -> ExternalHandle:
         else:
             raise ConfigError("http: model spec has an empty URL")
         return ExternalHandle(HttpTransport(url))
-    raise ConfigError(f"unrecognized external model spec '{spec}'")
+    raise ConfigError(f"unrecognized model spec '{spec}'")

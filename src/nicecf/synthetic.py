@@ -8,6 +8,7 @@ package's deterministic generator, so a seed fully defines the dataset.
 
 from __future__ import annotations
 
+import itertools
 import string
 from pathlib import Path
 
@@ -51,8 +52,8 @@ def make_dataset(
     down = [float(w) for w in range(n_categories, 0, -1)]
     up = list(reversed(down))
     total = sum(down)
-    cum0 = _cumulative([w / total for w in down])
-    cum1 = _cumulative([w / total for w in up])
+    cum0 = list(itertools.accumulate(w / total for w in down))
+    cum1 = list(itertools.accumulate(w / total for w in up))
 
     schema = [FeatureSpec(f"num{j}", FeatureKind.NUMERICAL) for j in range(n_num)]
     schema += [
@@ -81,15 +82,6 @@ def make_dataset(
         rows.append(tuple(values))
         labels.append(label)
     return Dataset(schema, rows, labels)
-
-
-def _cumulative(weights: list[float]) -> list[float]:
-    out = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        out.append(acc)
-    return out
 
 
 def save_dataset(

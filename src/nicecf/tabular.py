@@ -294,9 +294,12 @@ def fit_stats(train: Dataset) -> tuple[FeatureStats, ...]:
     """Per-feature training statistics, as an encoding plan carrying ``train.rule``.
 
     Read from ``train.columns()``; category sets lay out the encoding only.
-    Mode ties break toward the smallest label; std is the population one. A
-    mean or std whose sums overflow comes from the column divided by its
-    largest magnitude, scaled back. A range too large raises :class:`StatsError`.
+    Mode ties break toward the smallest label; std is the population one.
+    numpy takes the mean and std of the column divided by a power of two near
+    its largest magnitude, and they are scaled back: the division is exact, so
+    ordinary columns keep numpy's bits, while huge values do not overflow the
+    sums and tiny ones do not underflow the squares. A range too large raises
+    :class:`StatsError`.
     """
     if len(train) == 0:
         raise StatsError("cannot fit statistics on an empty dataset")
@@ -304,13 +307,11 @@ def fit_stats(train: Dataset) -> tuple[FeatureStats, ...]:
     for spec, column in zip(train.schema, train.columns()):
         if spec.kind is FeatureKind.NUMERICAL:
             lo, hi = float(column.min()), float(column.max())
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean, std = float(column.mean()), float(column.std())
-            if not (math.isfinite(mean) and math.isfinite(std)):
-                # Both fit a float: the mean lies in [lo, hi], the std within half the range.
-                scale = max(-lo, hi)
-                mean = float((column / scale).mean()) * scale
-                std = float((column / scale).std()) * scale
+            # One below the magnitude's exponent, so that 2**1024 is never asked for.
+            magnitude = max(-lo, hi)
+            scale = math.ldexp(1.0, math.frexp(magnitude)[1] - 1) if magnitude else 1.0
+            scaled = column / scale
+            mean, std = float(scaled.mean()) * scale, float(scaled.std()) * scale
             # Rounding can put the mean of near-equal values just outside
             # [lo, hi] and give a constant column a tiny nonzero std.
             stats.append(

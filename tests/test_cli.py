@@ -77,11 +77,23 @@ class TestParsing:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
-    def test_bad_model_spec(self, data_files, tmp_path, capsys):
+    def test_bad_model_spec(self, data_files, capsys):
         code = run_command(
             ["explain", *common(data_files), "--model", "builtin:forest", "--index", "0"]
         )
         assert code == 1
+        assert capsys.readouterr().err == "error: unrecognized model spec 'builtin:forest'\n"
+
+    def test_model_spec_without_a_known_prefix(self, data_files, capsys):
+        code = run_command(["explain", *common(data_files), "--model", "forest", "--index", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unrecognized model spec 'forest'\n"
+
+    def test_worker_that_cannot_start_is_runtime_failure(self, data_files, capsys):
+        code = run_command(["explain", *common(data_files), "--model", "proc:/nonexistent/worker",
+                            "--index", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot start '/nonexistent/worker': ")
 
     @pytest.mark.parametrize("spec", ["builtin:knn:three", "builtin:knn:"])
     def test_bad_neighbor_count(self, data_files, spec, capsys):
@@ -306,8 +318,10 @@ class TestExplain:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc.pop("elapsed_ms") >= 0.0
+        source = list(load_dataset(*data_files).rows[5])
         assert doc == {"explainer": "nice-prox", "row": 5, "valid": False,
-                       "error": "no unlike neighbor"}
+                       "source": source, "counterfactual": source, "changes": [], "trace": [],
+                       "metrics": dict.fromkeys(("sparsity", "proximity", "ae_error", "knn5"))}
 
     def test_dead_external_worker_is_runtime_failure(self, data_files, capsys):
         spec = f"proc:{sys.executable} -c 'import sys; sys.exit(1)'"
@@ -346,6 +360,16 @@ class TestWeights:
         )
         assert code == 1
 
+    def test_weights_that_are_not_a_mapping_rejected(self, data_files, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps([2.0, 0.5]))
+        code = run_command(
+            ["explain", *common(data_files), "--model", "builtin:logistic",
+             "--index", "0", "--weights", str(weights)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: weights file must map feature names to numbers\n"
+
     @pytest.mark.parametrize("value", ["abc", None, True, [1.0], {"w": 1.0}])
     def test_non_numeric_weight_rejected(self, data_files, tmp_path, value, capsys):
         weights = tmp_path / "weights.json"
@@ -374,6 +398,26 @@ class TestWeights:
         err = capsys.readouterr().err
         assert "positive and finite" in err
         assert "0" * 400 not in err
+
+
+def child_env(**extra):
+    """The environment of a child Python that imports the nicecf package under test."""
+    paths = [str(Path(nicecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+# Run in a child process, so that the logging set-up leaves pytest's root logger alone.
+@pytest.mark.parametrize("level, logged", [("info", True), ("bogus", True), ("warning", False)])
+def test_nice_log_sets_the_level(data_files, tmp_path, level, logged):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from nicecf.cli import run_command; "
+         "sys.exit(run_command(sys.argv[1:]))", "benchmark", *common(data_files),
+         "--model", "builtin:logistic", "--explainers", "nice-none", "--max-instances", "3",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=child_env(NICE_LOG=level), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ("INFO:nicecf.cli:explaining 3 instances with ['nice-none']" in proc.stderr) == logged
 
 
 class TestBenchmark:
@@ -416,15 +460,12 @@ class TestBenchmark:
         # reads can block for good, so each run is a child process with a deadline.
         contend = ("import sys; from nicecf.cli import run_command; "
                    "sys.setswitchinterval(1e-5); sys.exit(run_command(sys.argv[1:]))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(nicecf.__file__).resolve().parents[1]),
-                          os.environ.get("PYTHONPATH")]))}
         for workers in ("1", "3"):
             proc = subprocess.run(
                 [sys.executable, "-c", contend, "benchmark", *common(data_files),
                  "--model", proc_spec(SCORING_WORKER), "--out", str(tmp_path / workers),
                  "--workers", workers],
-                capture_output=True, text=True, env=env, timeout=60,
+                capture_output=True, text=True, env=child_env(), timeout=60,
             )
             assert proc.returncode == 0, proc.stderr
         for name in ("records.csv", "summary.json", "report.txt"):
@@ -648,13 +689,10 @@ def test_console_entry_point(data_files, tmp_path):
         f"import sys; from {module} import {attr}; "
         f"sys.argv[0] = 'nicecf'; sys.exit({attr}())"
     )
-    package_root = str(Path(nicecf.__file__).resolve().parents[1])
-    paths = [package_root, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     schema, data = data_files
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "describe", "--schema", schema, "--data", data],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "rows: 80" in proc.stdout

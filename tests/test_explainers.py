@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import nicecf.explainers
-from nicecf.distance import heom
+from nicecf.distance import heom, nearest_unlike_neighbor
 from nicecf.errors import ConfigError, DistanceError, EncodeError, NoUnlikeNeighborError
 from nicecf.explainers import (
     Explanation,
@@ -216,13 +216,16 @@ class TestNiceGeneral:
             if kind is not RewardKind.NONE:
                 assert len(expl.trace) == 1
 
-    def test_no_unlike_neighbor_propagates(self, scripted_model_cls):
+    def test_no_unlike_neighbor_is_an_invalid_explanation(self, scripted_model_cls):
         train = Dataset(cat_schema(1), [("a",), ("b",)], labels=[1, 1])
         stats = fit_stats(train)
         model = scripted_model_cls({}, default=0.9)
         ctx = SearchContext(train, stats, model)
         with pytest.raises(NoUnlikeNeighborError):
-            explain_nice(("a",), RewardKind.SPARSITY, ctx)
+            nearest_unlike_neighbor(stats, ("a",), train, ctx.train_predictions(), 1)
+        expl = explain_nice(("a",), RewardKind.SPARSITY, ctx)
+        assert (expl.valid, expl.counterfactual, expl.anchor_index, expl.trace) == (
+            False, ("a",), None, ())
 
     def test_plausibility_without_scorer_rejected(self, scripted_model_cls):
         train = Dataset(cat_schema(1), [("a",), ("b",)], labels=[0, 1])
@@ -321,6 +324,21 @@ def test_source_scored_one_half_is_class_one(scripted_model_cls, explain):
     expl = explain(x0, ctx)
     assert expl.valid
     assert ctx.model.predict(expl.counterfactual) == 0
+
+
+@pytest.mark.parametrize("explainer_id", ALL_EXPLAINERS)
+def test_no_eligible_row_is_an_invalid_explanation(scripted_model_cls, explainer_id):
+    # Every row is predicted as the source's class, and row 0 is misclassified:
+    # no row can be an anchor, a wit row or half of a case-base pair.
+    train = Dataset(cat_schema(1), [("a",), ("b",)], labels=[0, 1])
+    ctx = SearchContext(train, fit_stats(train), scripted_model_cls({}, default=0.9),
+                        scorer=lambda x: 1.0)
+    expl = ALL_EXPLAINERS[explainer_id](("a",), ctx)
+    assert isinstance(expl, Explanation)
+    assert (expl.explainer_id, expl.source, expl.valid) == (explainer_id, ("a",), False)
+    if explainer_id.startswith("nice-") or explainer_id == "wit":
+        assert (expl.counterfactual, expl.changed_features, expl.trace, expl.anchor,
+                expl.anchor_index) == (("a",), frozenset(), (), None, None)
 
 
 def value_hash(x, salt=b""):
@@ -512,12 +530,20 @@ class TestWit:
         assert explain_wit(x0, ctx).anchor_index == 7
         assert explain_nice(x0, RewardKind.NONE, ctx).anchor_index == 6
 
+    def test_tiny_spread_is_scaled_as_a_number(self, scripted_model_cls):
+        # std 5e-301: a step of 1e-300 is two stds, not a 0/1 mismatch.
+        train = Dataset(num_schema(1), [(0.0,), (1e-300,), (1e-300,), (0.0,)], labels=[0, 1, 1, 0])
+        ctx = SearchContext(train, fit_stats(train), scripted_model_cls({}, default=0.9))
+        assert ctx.stats[0].std == 5e-301
+        assert nicecf.explainers._wit_distances(ctx, (0.0,)).tolist() == [0.0, 2.0, 2.0, 0.0]
+
     def test_no_opposite_prediction(self, scripted_model_cls):
         train = Dataset(num_schema(1), [(1.0,)], labels=[1])
         stats = fit_stats(train)
         ctx = SearchContext(train, stats, scripted_model_cls({}, default=0.9))
-        with pytest.raises(NoUnlikeNeighborError):
-            explain_wit((2.0,), ctx)
+        expl = explain_wit((2.0,), ctx)
+        assert (expl.valid, expl.counterfactual, expl.anchor_index, expl.trace) == (
+            False, (2.0,), None, ())
 
 
 class TestSedc:

@@ -113,8 +113,9 @@ def test_every_selection_is_the_first_by_distance_then_row_index(problem):
         expected = first(sorted(range(n), key=lambda i: (wit_d[i], i)), other)
         assert explain_wit(x, ctx).anchor_index == expected
     else:
-        with pytest.raises(NoUnlikeNeighborError):
-            explain_wit(x, ctx)
+        expl = explain_wit(x, ctx)
+        assert (expl.valid, expl.counterfactual, expl.anchor_index, expl.trace) == (
+            False, x, None, ())
 
     # cbr: the case-base members of the source's class; ties go to case-base order.
     base = ctx.case_base()

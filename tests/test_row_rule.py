@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicecf.distance import heom, heom_to_rows, k_nearest, nearest_unlike_neighbor
-from nicecf.errors import DistanceError, EncodeError, IngestError, NoUnlikeNeighborError
+from nicecf.errors import DistanceError, EncodeError, IngestError
 from nicecf.explainers import (
     RewardKind,
     SearchContext,
@@ -254,17 +254,19 @@ def test_every_path_takes_values_training_never_saw(table_and_x, data):
         swapped = hexes(model.swap_state(extra, target).scores(features))
         assert swapped == hexes(model.score_batch(hybrids))
         assert swapped == hexes(model.score(h) for h in hybrids)
-        # Only the data can leave an explainer without a reference row.
+        # Only the data can leave an explainer without a reference row, and
+        # then it returns the source unchanged, marked invalid.
         ctx = SearchContext(table, stats, model, scorer=scorer)
         preds, c0 = ctx.train_predictions(), int(score >= 0.5)
         labels = table.label_array()
         no_nun = not ((preds != c0) & (labels == preds)).any()
-        expected = {**dict.fromkeys((f"nice-{kind.value}" for kind in RewardKind), no_nun),
-                    "wit": not (preds != c0).any(), "sedc": False, "cbr": False}
+        no_row = {**dict.fromkeys((f"nice-{kind.value}" for kind in RewardKind), no_nun),
+                  "wit": not (preds != c0).any()}
         for explainer, explain in EXPLAINERS.items():
-            try:
-                assert explain(extra, ctx).source == extra
-                raised = False
-            except NoUnlikeNeighborError:
-                raised = True
-            assert raised == expected[explainer], explainer
+            expl = explain(extra, ctx)
+            assert expl.source == extra, explainer
+            if explainer in no_row:
+                assert (expl.anchor_index is None) == no_row[explainer], explainer
+            if no_row.get(explainer):
+                assert (expl.valid, expl.counterfactual, expl.trace) == (False, extra, ()), (
+                    explainer)

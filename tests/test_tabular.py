@@ -225,6 +225,14 @@ class TestFitStats:
         assert s.mean == pytest.approx(statistics.mean(column), rel=1e-12)
         assert s.std == pytest.approx(statistics.pstdev(column), rel=1e-12)
 
+    # The squares of these deviations underflow, yet the true std is a normal float.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column", [(0.0, 1e-300, 1e-300, 0.0), (0.0, 1e-170), (0.0, 1e-160)])
+    def test_mean_and_std_of_tiny_values_are_not_lost(self, column):
+        s = fit_stats(Dataset([FeatureSpec("x", FeatureKind.NUMERICAL)], [(v,) for v in column]))[0]
+        assert s.mean == pytest.approx(statistics.mean(column), rel=1e-12, abs=0.0)
+        assert s.std == pytest.approx(statistics.pstdev(column), rel=1e-12, abs=0.0)
+
     def test_ordinary_columns_keep_numpys_bits(self, mixed_dataset):
         for s, column in zip(fit_stats(mixed_dataset), mixed_dataset.columns()):
             if s.kind is FeatureKind.NUMERICAL:
