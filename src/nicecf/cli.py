@@ -25,8 +25,11 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .distance import check_weights
-from .errors import ConfigError, DistanceError, EngineError, IngestError
+from .errors import (
+    ConfigError, DistanceError, EncodeError, EngineError, IngestError, StatsError, TrainError,
+)
 from .evaluation import (
+    REPORT_METRICS,
     compute_metrics,
     cross_model_robustness,
     render_report,
@@ -153,7 +156,10 @@ def _build_parser() -> _Parser:
 
 
 def run_command(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; returns the process exit code instead of exiting."""
+    """Run one subcommand; returns the process exit code instead of exiting.
+
+    Data that statistics, encoding or a built-in fit cannot take exits 1, as bad input does.
+    """
     _configure_logging()
     parser = _build_parser()
     try:
@@ -166,7 +172,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ConfigError, IngestError, OSError) as exc:
+    except (_UsageError, ConfigError, IngestError, StatsError, EncodeError, TrainError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EngineError as exc:
@@ -337,11 +344,7 @@ def _cmd_explain(args) -> int:
     docs = []
     for row_index, expl in attempts:
         rec = compute_metrics(expl, ctx, row_index)
-        doc = explanation_to_dict(
-            expl, names,
-            {"sparsity": rec.sparsity, "proximity": rec.proximity,
-             "ae_error": rec.ae_error, "knn5": rec.knn5},
-        )
+        doc = explanation_to_dict(expl, names, {m: getattr(rec, m) for m in REPORT_METRICS})
         doc["row"] = row_index
         docs.append(doc)
     _emit(args, "explanations.json", docs[0] if args.index is not None else docs)

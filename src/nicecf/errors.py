@@ -48,7 +48,7 @@ class DistanceError(EngineError):
 
 
 class TrainError(EngineError):
-    """A built-in model cannot be trained on the given data."""
+    """A built-in model or the autoencoder cannot train on this data: no labels, too few rows."""
 
 
 class ModelIOError(EngineError):

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .distance import heom, heom_to_rows, k_smallest
 from .errors import ConfigError, EvalError
@@ -200,7 +200,8 @@ def friedman_test(table: RankTable, alpha: float) -> tuple[float, bool]:
         float(np.sum(mean_ranks**2)) - k * (k + 1) ** 2 / 4.0
     )
     statistic = max(statistic, 0.0)
-    critical = float(chi2.ppf(1.0 - alpha, k - 1))
+    # What chi2.ppf(1 - alpha, k - 1) computes, bit for bit, without importing scipy.stats.
+    critical = 2.0 * float(gammaincinv((k - 1) / 2.0, 1.0 - alpha))
     return statistic, statistic > critical
 
 
@@ -248,14 +249,11 @@ def write_records_csv(records: Sequence[MetricRecord], path: str | Path) -> None
     """Per-record CSV without wall-clock columns; identical runs give identical bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["instance_id", "explainer_id", "valid", "sparsity", "proximity",
-             "ae_error", "knn5", "robust"]
-        )
+        writer.writerow(["instance_id", "explainer_id", "valid", *REPORT_METRICS, "robust"])
         for r in records:
             writer.writerow(
-                [r.instance_id, r.explainer_id, _fmt(r.valid), _fmt(r.sparsity),
-                 _fmt(r.proximity), _fmt(r.ae_error), _fmt(r.knn5), _fmt(r.robust)]
+                [r.instance_id, r.explainer_id, _fmt(r.valid),
+                 *(_fmt(getattr(r, m)) for m in REPORT_METRICS), _fmt(r.robust)]
             )
 
 

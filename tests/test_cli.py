@@ -219,6 +219,57 @@ class TestEmptyInputs:
         assert not (tmp_path / "out").exists()
 
 
+# Data that leaves one training row, which the autoencoder cannot train on.
+ONE_TRAINING_ROW = {
+    "explain": ("f0,y\na,1\n", ["--variant", "none"]),
+    "benchmark": ("f0,y\na,1\nb,0\n", ["--test-fraction", "0.5"]),
+    "robustness": ("f0,y\na,1\nb,0\n", ["--test-fraction", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("model", ["builtin:logistic", "builtin:knn:1"])
+@pytest.mark.parametrize("command", sorted(ONE_TRAINING_ROW))
+def test_data_a_builtin_fit_cannot_use_is_an_input_error(command, model, tmp_path, capsys):
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"features": [{"name": "f0", "kind": "categorical"}], "label": "y"}))
+    csv_text, extra = ONE_TRAINING_ROW[command]
+    (tmp_path / "data.csv").write_text(csv_text)
+    models = ["--model", model] * (2 if command == "robustness" else 1)
+    code = run_command([command, "--schema", str(tmp_path / "schema.json"),
+                        "--data", str(tmp_path / "data.csv"), *models, *extra,
+                        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: autoencoder training needs at least 2 rows\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Numbers that fit_stats and the logistic model cannot take. The seed-1 split
+# trains on rows holding only 0 and 5e-324 in f0 and f1, so the test row
+# (1.0, -2.5, 0) encodes as (inf, -inf, 0) and its logit is NaN.
+UNUSABLE_NUMBERS = {
+    "range": (["describe"], "f0,f1,f2,y\n1.7e308,0,0,0\n-1.7e308,0,0,1\n",
+              "error: non-finite range inf for 'f0'\n"),
+    "logit": (["benchmark", "--model", "builtin:logistic", "--seed", "1",
+               "--test-fraction", "0.5"],
+              "f0,f1,f2,y\n0,0,0,0\n0,0,0,0\n0,0,0,0\n1.0,-2.5,0,0\n5e-324,5e-324,0,0\n",
+              "error: row cannot be scored: its encoding adds +inf and -inf\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_NUMBERS))
+def test_numbers_the_statistics_or_model_cannot_take_are_an_input_error(case, tmp_path, capsys):
+    argv, csv_text, message = UNUSABLE_NUMBERS[case]
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"features": [{"name": f"f{j}", "kind": "numerical"} for j in range(3)], "label": "y"}))
+    (tmp_path / "data.csv").write_text(csv_text)
+    code = run_command([*argv, "--schema", str(tmp_path / "schema.json"),
+                        "--data", str(tmp_path / "data.csv")]
+                       + (["--out", str(tmp_path / "out")] if argv[0] != "describe" else []))
+    assert code == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
 def test_csv_that_is_not_utf8_is_an_input_error(command, tmp_path, capsys):
     (tmp_path / "schema.json").write_text(json.dumps(
@@ -418,6 +469,33 @@ def test_nice_log_sets_the_level(data_files, tmp_path, level, logged):
     )
     assert proc.returncode == 0, proc.stderr
     assert ("INFO:nicecf.cli:explaining 3 instances with ['nice-none']" in proc.stderr) == logged
+
+
+# Run in a fresh process, since pytest and other tests import scipy.stats themselves.
+SCIPY_PACKAGES_AFTER_A_SUMMARY = """
+import json, sys
+import nicecf.cli
+from nicecf.evaluation import MetricRecord, summarize_records
+
+records = [MetricRecord(i, e, True, 1.0, sparsity=i % 3 + len(e))
+           for i in range(4) for e in ("a", "bb")]
+summary = summarize_records(records)
+print(json.dumps({
+    "friedman": "friedman_reject" in summary["ranking"]["sparsity"],
+    "stats": "scipy.stats" in sys.modules,
+    "public": sorted(name for name, module in sys.modules.items()
+                     if name.startswith("scipy.") and name.count(".") == 1
+                     and not name.startswith("scipy._") and hasattr(module, "__path__")),
+}))
+"""
+
+
+def test_scipy_special_is_the_only_scipy_subpackage_loaded():
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PACKAGES_AFTER_A_SUMMARY],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"friedman": True, "stats": False,
+                                      "public": ["scipy.special"]}
 
 
 class TestBenchmark:

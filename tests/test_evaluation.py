@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
+from scipy.stats import chi2, rankdata
 
 from nicecf.distance import heom
 from nicecf.errors import ConfigError, EvalError
@@ -366,6 +366,14 @@ class TestFriedman:
     def test_statistic_non_negative(self, records_and_k, alpha):
         statistic, _ = friedman_test(rank_table(records_and_k[0], "sparsity"), alpha)
         assert math.isfinite(statistic) and statistic >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparsity_records(),
+           st.one_of(st.sampled_from((0.01, 0.05, 0.10, 0.20)), st.floats(0.001, 0.5)))
+    def test_reject_matches_the_chi_square_quantile(self, records_and_k, alpha):
+        records, k = records_and_k
+        statistic, reject = friedman_test(rank_table(records, "sparsity"), alpha)
+        assert reject == (statistic > chi2.ppf(1 - alpha, k - 1))
 
     def test_alpha_validation(self):
         table = self.table_from_values([(1, 2, 3), (3, 2, 1)])
