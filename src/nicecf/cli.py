@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -261,9 +262,27 @@ def _ensure_out(args) -> Path:
     return path
 
 
+def _json_text(payload) -> str:
+    """``payload`` as indented standard JSON: every non-finite float is written as null.
+
+    ``json.dumps`` alone writes the tokens ``NaN`` and ``Infinity``, which
+    JSON lacks; an infinite proximity is one way to meet them.
+    """
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False)
+
+
 def _emit(args, name: str, payload) -> None:
     """Print ``payload`` as JSON, or write it to ``--out/name`` when given."""
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if args.out is None:
         print(text)
     else:
@@ -373,7 +392,7 @@ def _cmd_benchmark(args) -> int:
     write_records_csv(records, out / "records.csv")
     write_timings_csv(records, out / "timings.csv")
     summary = summarize_records(records)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(_json_text(summary) + "\n")
     (out / "report.txt").write_text(render_report(summary))
     for name in ("records.csv", "timings.csv", "summary.json", "report.txt"):
         print(f"wrote {out / name}")

@@ -105,8 +105,7 @@ def _weighted_scan(
 ) -> np.ndarray:
     """Weighted L1 distances from each of ``xs`` to every row, shape (len(xs), rows).
 
-    Numeric terms are divided by ``scales``. Categorical features, and
-    numerical ones whose scale is zero, use the 0/1 overlap. Terms are
+    Each feature's terms are :func:`_feature_terms` over ``scales``. Terms are
     accumulated one feature at a time in schema order, so each row of the
     result is bit-identical to a scan of that instance alone. Within one
     feature, the weighted term of each distinct value is computed once and
@@ -121,24 +120,31 @@ def _weighted_scan(
     with np.errstate(over="ignore"):  # a term too large for a float is inf, as in heom
         for j, (stat, scale, wj) in enumerate(zip(stats, scales, weights)):
             holders: dict = {}
-            if stat.kind is FeatureKind.CATEGORICAL:
-                codes, mapping = cols[j]
-                for row, x in zip(rows, xs):
-                    holders.setdefault(mapping.get(x[j], -1), []).append(row)
-            else:
-                for row, x in zip(rows, xs):
-                    holders.setdefault(float(x[j]), []).append(row)
+            for row, x in zip(rows, xs):
+                holders.setdefault(x[j], []).append(row)
             for value, holding in holders.items():
-                if stat.kind is FeatureKind.CATEGORICAL:
-                    term = (codes != value).astype(np.float64)
-                elif scale == 0.0:
-                    term = (cols[j] != value).astype(np.float64)
-                else:
-                    term = np.abs(value - cols[j]) / scale
+                term = _feature_terms(stat, scale, cols[j], value)
                 weighted = term if wj == 1.0 else wj * term  # x * 1.0 == x, bit for bit
                 for row in holding:
                     row += weighted
     return total
+
+
+def _feature_terms(stat: FeatureStats, scale: float, column, value: "str | float") -> np.ndarray:
+    """One feature's unweighted distance terms from ``value`` to every entry of its column.
+
+    ``column`` is the feature's entry of :meth:`Dataset.columns`. Categorical
+    features, and numerical ones whose scale is zero, use the 0/1 overlap;
+    other numbers give ``|value - column| / scale``. Every term is
+    non-negative; one too large for a float is ``inf``, with a warning unless
+    the caller silences numpy's overflow.
+    """
+    if stat.kind is FeatureKind.CATEGORICAL:
+        codes, mapping = column
+        return (codes != mapping.get(value, -1)).astype(np.float64)
+    if scale == 0.0:
+        return (column != float(value)).astype(np.float64)
+    return np.abs(float(value) - column) / scale
 
 
 def k_smallest(d: np.ndarray, k: int) -> np.ndarray:

@@ -8,7 +8,9 @@ scoring can never disagree. A subclass implements ``score_batch``; it may
 also override ``swap_state``, which serves the greedy search's one question
 ("score ``current`` with feature j taken from ``target``, for each j") for a
 whole search, as an exact fast path. The default builds the hybrids and
-calls ``score_batch``.
+calls ``score_batch``; the logistic model patches two encodings, and the
+kNN model updates one distance vector per hybrid and re-sums exactly only
+the rows near its k-th distance.
 
 Built-in models operate on the numeric encoding of the training statistics.
 External models receive raw feature values over a line-oriented JSON
@@ -37,7 +39,7 @@ from scipy.special import expit
 
 # heom_to_rows is unused here but stays importable from this module:
 # bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
-from .distance import _weighted_scan, heom_to_rows, k_smallest  # noqa: F401
+from .distance import _feature_terms, _weighted_scan, heom_to_rows, k_smallest  # noqa: F401
 from .errors import ConfigError, EncodeError, ModelIOError, TrainError
 from .tabular import (
     Dataset,
@@ -165,11 +167,13 @@ class KnnHandle(ClassifierHandle):
     long the batch. Each row's neighbors are then selected with
     :func:`k_smallest`, not by sorting all its distances. Scores are
     bit-identical to ``heom_to_rows`` followed by a full (distance, row index)
-    sort, one row at a time. Statistics that do not describe ``train``
-    raise :class:`DistanceError`. A row that breaks ``train.rule`` (which
-    ``fit_stats(train)`` carries too), a row of the wrong length included,
-    raises :class:`EncodeError` before any row is scored, in ``score_batch``
-    and in ``swap_state`` alike.
+    sort, one row at a time. ``swap_state`` gives the same scores from
+    distance terms kept for the whole search (see :class:`_KnnSwaps`), or
+    the default when some distance it could meet is infinite or too large.
+    Statistics that do not describe ``train`` raise :class:`DistanceError`.
+    A row that breaks ``train.rule`` (which ``fit_stats(train)`` carries
+    too), a row of the wrong length included, raises :class:`EncodeError`
+    before any row is scored, in ``score_batch`` and in ``swap_state`` alike.
     """
 
     CHUNK_ROWS = 64
@@ -183,10 +187,23 @@ class KnnHandle(ClassifierHandle):
         self._weights = (1.0,) * len(self.stats)
         self._labels = train.label_array()
 
-    def swap_state(self, current: Instance, target: Instance) -> HybridSwaps:
+    def swap_state(self, current: Instance, target: Instance) -> _KnnSwaps | HybridSwaps:
+        """Exact fast path: one distance update per hybrid, then an exact re-sum of the near ties.
+
+        Falls back to the default when some distance the search can meet is
+        not finite, or too large for :class:`_KnnSwaps`' error bound.
+        """
         self.train.rule.check(current)
         self.train.rule.check(target)
-        return super().swap_state(current, target)
+        cur, tgt = self._terms(current), self._terms(target)
+        # Each term of a row the search reaches is current's or target's, so
+        # no distance it meets exceeds ``reach``. The headroom keeps every sum
+        # within the error bound of it finite; an inf term fails the test too.
+        with np.errstate(over="ignore"):
+            reach = float(np.maximum(cur, tgt).sum(axis=0).max(initial=0.0))
+        if not reach <= np.finfo(np.float64).max / 4:
+            return super().swap_state(current, target)
+        return _KnnSwaps(cur, tgt, reach, self.k, self._vote)
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         for x in xs:
@@ -196,8 +213,104 @@ class KnnHandle(ClassifierHandle):
             chunk = xs[start : start + self.CHUNK_ROWS]
             d = _weighted_scan(self.stats, self._ranges, chunk, self.train, self._weights)
             for i, row in enumerate(d, start):
-                out[i] = float(self._labels[k_smallest(row, self.k)].sum()) / self.k
+                out[i] = self._vote(k_smallest(row, self.k))
         return out
+
+    def _vote(self, nearest: np.ndarray) -> float:
+        """The score of a row whose k nearest training rows are ``nearest``."""
+        return float(self._labels[nearest].sum()) / self.k
+
+    def _terms(self, x: Instance) -> np.ndarray:
+        """(features, training rows) matrix of the distance terms of a checked row."""
+        out = np.empty((len(self.stats), len(self.train)), dtype=np.float64)
+        with np.errstate(over="ignore"):  # a term too large for a float is inf, as in score_batch
+            for j, (stat, column) in enumerate(zip(self.stats, self.train.columns())):
+                out[j] = _feature_terms(stat, stat.range, column, x[j])
+        return out
+
+
+def _schema_sum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a (features, n) term matrix, added in schema order as in ``_weighted_scan``."""
+    total = np.zeros(terms.shape[1], dtype=np.float64)
+    for row in terms:
+        total += row
+    return total
+
+
+class _KnnSwaps:
+    """The kNN handle's swap state: filter rows by an updated distance, then rank them exactly.
+
+    It holds, per feature and training row, the distance terms of the
+    current row (``cur``) and of ``target`` (``tgt``), their difference
+    ``step = tgt - cur``, and ``d``, the current row's exact distances: the
+    terms summed in schema order, as ``score_batch`` sums them. For the
+    hybrid taking feature j, ``approx = d + step[j]`` stands in for a scan.
+    ``scores`` keeps the rows whose ``approx`` lies within ``2 * delta`` of
+    the hybrid's k-th smallest ``approx``, re-sums only those exactly in
+    schema order, and votes with the first k by (distance, row index): the
+    rows ``score_batch`` picks, so every score is bit for bit the same.
+    ``take(j)`` copies j's terms from ``tgt`` into ``cur`` and re-sums ``d``.
+    One state serves one search.
+
+    Why ``delta`` suffices. Let u = eps / 2, n the feature count, and M the
+    largest real distance the search can meet; ``reach`` is M summed in
+    floats, off by a factor of at most 1 + n u. Terms are finite and
+    non-negative, and a float addition or subtraction rounds by at most u of
+    its result, subnormal results included. For one hybrid and one row, let
+    s be the hybrid's schema-order sum and H its real sum: |s - H| <= (n - 1) u M.
+    ``d`` is off its real sum by at most (n - 1) u M, ``step[j]`` by u M (both
+    terms lie in [0, M]), and the addition by u M. So |approx - s| is at
+    most 2 n u M = n eps M, up to terms in (n u)^2, and
+    ``delta = 2 (n + 2) eps reach`` exceeds that by a factor over 2, which
+    covers rounding ``reach``, ``delta`` and the cut-offs below. Let kth be
+    the hybrid's k-th smallest ``approx``. Its k rows have s <= kth + delta,
+    so the k-th smallest s is at most kth + delta. A dropped row has
+    s >= approx - delta > kth + delta: it ranks after the k-th whatever its
+    index. A row among the first k has approx <= s + delta <= kth + 2 delta:
+    it is kept.
+
+    Only rows near the current row's nearest can be kept, so ``scores``
+    builds ``approx`` for those alone. Let kth_d be the k-th smallest ``d``
+    and B the largest |step[j]| of the listed features. Every ``approx`` lies
+    within B of ``d``, up to rounding, so kth <= kth_d + B, and a kept row
+    has d <= kth_d + 2 B + 2 delta. The rows with d <= kth_d + 2 (B + 2 delta)
+    therefore hold every kept row and the k rows of smallest ``approx``, and
+    give the same kth and the same kept rows as all rows do.
+    """
+
+    def __init__(self, cur: np.ndarray, tgt: np.ndarray, reach: float, k: int, vote):
+        self._cur = cur
+        self._tgt = tgt
+        self._step = tgt - cur
+        self._move = np.abs(self._step).max(axis=1, initial=0.0)
+        self._d = _schema_sum(cur)
+        self._delta = 2.0 * (len(cur) + 2) * np.finfo(np.float64).eps * reach
+        self._k = k
+        self._vote = vote
+
+    def scores(self, features: Sequence[int]) -> list:
+        fs = np.asarray(features, dtype=np.intp)
+        k, delta = self._k, self._delta
+        move = self._move.take(fs).max(initial=0.0)
+        kth_d = np.partition(self._d, k - 1)[k - 1]
+        near = np.flatnonzero(self._d <= kth_d + 2.0 * (move + 2.0 * delta))
+        approx = self._step[np.ix_(fs, near)]
+        approx += self._d[near]
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # Flat indices ascend, and so do their hybrids; 2-D nonzero is several times slower.
+        hybrid, at = np.divmod(np.flatnonzero(approx <= (kth + 2.0 * delta)[:, None]), len(near))
+        rows = near[at]
+        feature = fs[hybrid]
+        terms = self._cur[:, rows]
+        terms[feature, np.arange(len(rows))] = self._tgt[feature, rows]
+        ranked = rows[np.lexsort((rows, _schema_sum(terms), hybrid))]
+        return [self._vote(ranked[s : s + k]) for s in np.searchsorted(hybrid, np.arange(len(fs)))]
+
+    def take(self, j: int) -> None:
+        self._cur[j] = self._tgt[j]
+        self._step[j] = 0.0
+        self._move[j] = 0.0
+        self._d = _schema_sum(self._cur)
 
 
 def train_knn_classifier(

@@ -11,6 +11,10 @@ from nicecf.tabular import Dataset, FeatureKind, FeatureSpec
 NUMBERS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 # Few distinct values, so that many rows lie at equal distances.
 FEW_NUMBERS = st.sampled_from((0.0, 0.5, 1.0, 2.0))
+# Magnitudes from 5e-324 to 1e300, so that ranges and distances run from
+# subnormal to too large for a float.
+WIDE_NUMBERS = st.one_of(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+                         st.sampled_from((0.0, 5e-324, 1e-300, 1e300)))
 # Ints are numbers too; they must encode as their float values do.
 INTS_OR_FLOATS = st.one_of(NUMBERS, st.integers(-1000, 1000))
 CATEGORIES = ("a", "b", "c")

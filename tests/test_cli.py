@@ -15,6 +15,7 @@ import nicecf.cli
 from nicecf.cli import run_command
 from nicecf.synthetic import make_dataset, save_dataset
 from nicecf.tabular import Dataset, FeatureSpec, fit_stats, load_dataset, split
+from test_cli_fuzz import reject_constant
 from test_external_model import UNREADABLE_SCORES, replying_worker
 
 
@@ -268,6 +269,25 @@ def test_numbers_the_statistics_or_model_cannot_take_are_an_input_error(case, tm
     assert code == 1
     assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
+
+
+def test_an_infinite_mean_is_written_as_json_null(tmp_path):
+    # The seed-1 split trains on rows whose f2 spans only 5e-324, so every
+    # valid counterfactual of the test row lies at an infinite distance.
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"features": [{"name": f"f{j}", "kind": "numerical"} for j in range(3)], "label": "y"}))
+    (tmp_path / "data.csv").write_text(
+        "f0,f1,f2,y\n0.0,0.0,0.0,0\n0.0,0.0,-2.5,0\n0.0,0.0,5e-324,0\n0.0,0.0,0.0,0\n")
+    out = tmp_path / "out"
+    assert run_command(["benchmark", "--model", "builtin:logistic", "--seed", "1",
+                        "--test-fraction", "0.5", "--schema", str(tmp_path / "schema.json"),
+                        "--data", str(tmp_path / "data.csv"), "--out", str(out)]) == 0
+    with open(out / "records.csv", newline="") as fh:
+        proximities = {r["proximity"] for r in csv.DictReader(fh) if r["valid"] == "true"}
+    assert proximities == {"inf"}
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["per_explainer"]["nice-spars"]["mean_proximity"] is None
+    assert summary["per_explainer"]["nice-spars"]["mean_sparsity"] == 1.0
 
 
 @pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))

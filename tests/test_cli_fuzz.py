@@ -75,10 +75,17 @@ def invocations(draw):
     return args
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def check_outputs(out: Path) -> None:
-    """Every JSON and CSV file the command wrote parses, and CSV rows are all one width."""
+    """Every JSON and CSV file the command wrote parses, and CSV rows are all one width.
+
+    JSON is parsed strictly: ``NaN`` and ``Infinity``, which Python's ``json`` reads, fail.
+    """
     for path in out.glob("*.json"):
-        json.loads(path.read_text(encoding="utf-8"))
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
     for path in out.glob("*.csv"):
         rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
         assert rows and all(len(row) == len(rows[0]) for row in rows), path.name

@@ -33,6 +33,7 @@ from nicecf.tabular import (
     Dataset,
     FeatureKind,
     FeatureSpec,
+    HybridSwaps,
     _RowRule,
     encode,
     encode_batch,
@@ -171,10 +172,14 @@ def test_overflow_is_inf_without_a_warning(tiny):
     assert hexes(d) == hexes(heom(stats, far, row) for row in table.rows)
     assert d[0] == 1000.0 / tiny  # inf for 5e-324
     assert k_nearest(stats, far, table, 1) == [0]
-    for model in (train_logistic(stats, table), train_knn_classifier(stats, table, k=1)):
+    knn = train_knn_classifier(stats, table, k=1)
+    for model in (train_logistic(stats, table), knn):
         assert hexes([model.score(far)]) == hexes(model.score_batch([far]))
         assert hexes(model.swap_state(far, target).scores([1])) == hexes(
             model.score_batch([hybrid]))
+    # The kNN state builds each hybrid when a distance term is inf (5e-324),
+    # or too near the float limit for its error bound (1e308, over 1e-305).
+    assert isinstance(knn.swap_state(far, target), HybridSwaps) == (tiny != 1e-300)
 
 
 # The row rule takes a numpy.float64 (a float subclass); its quotient must

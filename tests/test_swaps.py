@@ -4,7 +4,9 @@ The greedy search scores ``current`` with feature j taken from ``target``,
 for every j left, through one swap state per search. The logistic model and
 the autoencoder scorer answer from two encodings patched per feature; these
 tests hold them to the per-hybrid path and to a one-vector reference, in
-float hex, and the encodings to a reference encoder.
+float hex, and the encodings to a reference encoder. The kNN model answers
+from distances updated per feature and re-summed near the k-th; it is held
+to ``score_batch`` and to a brute-force vote, in float hex.
 """
 
 import functools
@@ -12,25 +14,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import nicecf.tabular
+from nicecf.distance import heom_feature, heom_to_rows
 from nicecf.explainers import RewardKind, SearchContext, explain_nice, explain_sedc
-from nicecf.model import ClassifierHandle, train_logistic
+from nicecf.model import ClassifierHandle, _KnnSwaps, train_knn_classifier, train_logistic
 from nicecf.plausibility import AEConfig, ae_error, ae_scorer, swap_state, train_autoencoder
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import (
+    Dataset,
     EncodedSwaps,
     FeatureKind,
+    FeatureSpec,
     _EncodingPlan,
     encode,
     encode_batch,
     fit_stats,
     swap_hybrids,
 )
-from strategies import INTS_OR_FLOATS, swap_problems
+from strategies import (
+    FEW_NUMBERS,
+    INTS_OR_FLOATS,
+    WIDE_NUMBERS,
+    knn_reference_score,
+    mixed_tables,
+    swap_problems,
+)
 
 
 def fitted(table):
@@ -83,18 +95,26 @@ def hexes(values):
 
 
 def logistic_reference(model, x):
-    """One dot product of one fresh encoding, then the logistic function."""
-    z = float(np.dot(encode(model.stats, x), model.coef)) + model.intercept
+    """One dot product of one fresh encoding, then the logistic function.
+
+    An overflow gives inf without a warning, as in the model.
+    """
+    with np.errstate(over="ignore"):
+        z = float(np.dot(encode(model.stats, x), model.coef)) + model.intercept
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
     return math.exp(z) / (1.0 + math.exp(z))
 
 
 def ae_reference(ae, stats, x):
-    """Reconstruction error of one fresh encoding, one vector-matrix product per layer."""
+    """Reconstruction error of one fresh encoding, one vector-matrix product per layer.
+
+    An overflow gives inf without a warning, as in the scorer.
+    """
     v = encode(stats, x)
-    diff = (expit(v @ ae.w1 + ae.b1) @ ae.w2 + ae.b2) - v
-    return float(np.dot(diff, diff)) / ae.width
+    with np.errstate(over="ignore"):
+        diff = (expit(v @ ae.w1 + ae.b1) @ ae.w2 + ae.b2) - v
+        return float(np.dot(diff, diff)) / ae.width
 
 
 def scored_swaps(scorer, current, target, features):
@@ -255,8 +275,78 @@ class TestAeSwaps:
         assert hexes(scores) == hexes(scored_swaps(ae_scorer(ae, stats), current, target, features))
 
 
+class TestKnnSwaps:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_score_matches_the_reference_through_a_search(self, data):
+        numbers = data.draw(st.sampled_from((FEW_NUMBERS, WIDE_NUMBERS)))
+        table, current = data.draw(mixed_tables(max_rows=12, numbers=numbers))
+        n, m = len(table), len(current)
+        table = Dataset(table.schema, table.rows,
+                        data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        k = data.draw(st.sampled_from([k for k in (1, 3, 5) if k <= n]))
+        target = data.draw(st.sampled_from(table.rows))
+        features = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+        takes = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+        stats = fit_stats(table)
+        model = train_knn_classifier(stats, table, k)
+        state = model.swap_state(current, target)
+        if numbers is FEW_NUMBERS:  # every distance term is at most 4
+            assert isinstance(state, _KnnSwaps)
+        current = list(current)
+        for j in [None, *takes]:
+            if j is not None:
+                state.take(j)
+                current[j] = target[j]
+            assert list(state.scores([])) == []
+            for listed in (features, range(m)):
+                hybrids = swap_hybrids(current, target, listed)
+                swapped = hexes(state.scores(listed))
+                assert swapped == hexes(model.score_batch(hybrids))
+                assert swapped == hexes(knn_reference_score(stats, h, table, k) for h in hybrids)
+
+    def test_an_exact_tie_that_the_updated_distance_splits_goes_to_the_smaller_row(self):
+        # Found by a search over small tables. The hybrids taking feature 0 or 1
+        # lie at exactly equal distances from rows 0 (label 0) and 1 (label 1),
+        # so row 0 is the nearest, but the updated distance d + step puts row 1
+        # an ulp nearer. A zero error bound, ranking the kept rows by the
+        # updated distance, or ties going to the larger row index would each
+        # vote 1 for them.
+        schema = [FeatureSpec(f"f{j}", FeatureKind.NUMERICAL) for j in range(3)]
+        table = Dataset(schema, [(0.9, 0.7, 0.1), (0.9, 0.9, 0.2)], [0, 1])
+        stats = fit_stats(table)
+        current, target = (0.7, 0.2, 0.7), table.rows[0]
+        d = heom_to_rows(stats, current, table)
+        for j in (0, 1):
+            exact = heom_to_rows(stats, swap_hybrids(current, target, [j])[0], table)
+            updated = d + [heom_feature(stats[j], target[j], row[j])
+                           - heom_feature(stats[j], current[j], row[j]) for row in table.rows]
+            assert exact[0] == exact[1] and updated[1] < updated[0]
+        model = train_knn_classifier(stats, table, 1)
+        state = model.swap_state(current, target)
+        assert isinstance(state, _KnnSwaps)
+        assert state.scores([0, 1, 2]) == [0.0, 0.0, 0.0]
+        current = list(current)
+        for j in (2, 0, 1):
+            state.take(j)
+            current[j] = target[j]
+            hybrids = swap_hybrids(current, target, range(3))
+            assert hexes(state.scores(range(3))) == hexes(model.score_batch(hybrids)) == hexes(
+                knn_reference_score(stats, h, table, 1) for h in hybrids)
+
+
+# 1.0 over a training range of 1e-234 encodes as 1e234, whose square overflows.
+TINY_RANGE = (
+    Dataset([FeatureSpec("f0", FeatureKind.NUMERICAL), FeatureSpec("f1", FeatureKind.CATEGORICAL),
+             FeatureSpec("f2", FeatureKind.NUMERICAL)],
+            [(0.0, "a", 0.0), (0.0, "b", 1e-234), (1.0, "a", 1e-234)], [0, 1, 1]),
+    (0.0, "a", 1.0), (0.0, "a", 0.0), [0],
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(swap_problems())
+@example(TINY_RANGE)
 def test_unseen_category_in_current_scores_the_same_on_every_path(problem):
     table, current, target, features = problem
     categorical = [j for j, s in enumerate(table.schema) if s.kind is FeatureKind.CATEGORICAL]
@@ -276,13 +366,12 @@ def test_unseen_category_in_current_scores_the_same_on_every_path(problem):
 
 
 @settings(max_examples=60, deadline=None)
-@given(swap_problems())
+@given(st.sampled_from((INTS_OR_FLOATS, FEW_NUMBERS)).flatmap(
+    lambda numbers: swap_problems(numbers=numbers)))
 def test_search_takes_the_same_steps_on_the_default_path(problem):
     table, x0, _, _ = problem
-    stats, model, ae = fitted(table)
-    fast = SearchContext(table, stats, model, scorer=ae_scorer(ae, stats))
-    default = ScoreBatchOnly(model)
-    slow = SearchContext(table, stats, default, scorer=lambda x: ae_error(ae, stats, x))
+    stats, logistic, ae = fitted(table)
+    knn = train_knn_classifier(stats, table, 1 if len(table) < 3 else 3)
 
     def run(ctx, kind):
         if kind is None:
@@ -293,11 +382,15 @@ def test_search_takes_the_same_steps_on_the_default_path(problem):
         steps = [(s.feature, float(s.reward).hex(), float(s.score).hex()) for s in result.trace]
         return result.counterfactual, result.valid, result.anchor_index, steps
 
-    for kind in (RewardKind.SPARSITY, RewardKind.PROXIMITY, RewardKind.PLAUSIBILITY, None):
-        default.swap_calls = 0
-        expected = run(slow, kind)
-        assert key(run(fast, kind)) == key(expected)
-        assert default.swap_calls == len(expected.trace)
+    for model in (logistic, knn):
+        fast = SearchContext(table, stats, model, scorer=ae_scorer(ae, stats))
+        default = ScoreBatchOnly(model)
+        slow = SearchContext(table, stats, default, scorer=lambda x: ae_error(ae, stats, x))
+        for kind in (RewardKind.SPARSITY, RewardKind.PROXIMITY, RewardKind.PLAUSIBILITY, None):
+            default.swap_calls = 0
+            expected = run(slow, kind)
+            assert key(run(fast, kind)) == key(expected)
+            assert default.swap_calls == len(expected.trace)
 
 
 @pytest.mark.parametrize("kind, states", [
