@@ -109,9 +109,9 @@ def _weighted_scan(
     accumulated one feature at a time in schema order, so each row of the
     result is bit-identical to a scan of that instance alone. Within one
     feature, the weighted term of each distinct value is computed once and
-    added to every instance holding it: each greedy-search candidate differs
-    from the current instance in one feature, so such a batch holds at most
-    two values per feature.
+    added to every instance holding it. The kNN warm-up, which scores every
+    training row, is the main caller with many instances: a categorical
+    feature has few distinct values there, so most of its terms are shared.
     Arguments are not validated; callers pass checked weights.
     """
     total = np.zeros((len(xs), len(dataset)), dtype=np.float64)

@@ -35,7 +35,6 @@ whatever the model), starts its clock and scores the source once.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -193,27 +192,24 @@ def _signed(p: float) -> float:
     return 2.0 * p - 1.0
 
 
-def _reward_core(
+def _reward(
     kind: RewardKind,
-    ctx: SearchContext,
     y_hat: int,
     p_prev: float,
     p_cand: float,
-    j: int,
-    prev_j,
-    cand_j,
+    cost: float | None,
     ae_prev: float | None,
     ae_cand: float | None,
 ) -> float:
     # Single source of truth for the reward arithmetic: both the public
     # reward() and the search loop call this with identically computed parts,
     # so an independent recomputation reproduces search decisions bit for bit.
+    # ``cost`` is the step's weighted distance, read by the proximity reward only.
     delta = y_hat * (_signed(p_prev) - _signed(p_cand))
     if kind is RewardKind.SPARSITY:
         return delta
     if kind is RewardKind.PROXIMITY:
-        step = ctx.weights[j] * heom_feature(ctx.stats[j], prev_j, cand_j)
-        return delta / max(step, _EPSILON)
+        return delta / max(cost, _EPSILON)
     if kind is RewardKind.PLAUSIBILITY:
         return delta * (ae_prev - ae_cand)
     raise ConfigError("reward is undefined for kind 'none'")
@@ -244,9 +240,9 @@ def reward(
         ae_prev, ae_cand = ctx.scorer(prev), ctx.scorer(cand)
     else:
         ae_prev = ae_cand = None
-    p_prev = ctx.model.score(prev)
-    p_cand = ctx.model.score(cand)
-    return _reward_core(kind, ctx, y_hat, p_prev, p_cand, j, prev[j], cand[j], ae_prev, ae_cand)
+    p_prev, p_cand = ctx.model.score(prev), ctx.model.score(cand)
+    cost = ctx.weights[j] * heom_feature(ctx.stats[j], prev[j], cand[j])
+    return _reward(kind, y_hat, p_prev, p_cand, cost, ae_prev, ae_cand)
 
 
 def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, float, int]:
@@ -299,17 +295,20 @@ def _greedy_toward(
     ``p0`` is the model's score of ``x0``. The search keeps one swap state
     of the model (and one of the scorer for the plausibility reward) from
     ``x0`` toward ``target``, and the ascending list of features still
-    differing from the target. Each iteration scores one candidate per
-    listed feature, in one ``scores`` call to each state, keeps the reward
-    argmax (a NaN reward ranks below every number; ties go to the smallest
-    feature index), ``take``s it and drops it from the list. The search
-    stops at the first flip or when nothing is left to copy. Returns
-    (counterfactual, trace, valid), where valid means the class flipped.
+    differing from the target, whose proximity costs it computes once. Each
+    iteration scores one candidate per listed feature, in one ``scores``
+    call to each state, keeps the reward argmax (a NaN reward ranks below
+    every number; ties go to the smallest feature index), ``take``s it and
+    drops it from the list, until the class flips or the list is empty.
+    Returns (counterfactual, trace, valid): ``x0`` with the traced features
+    taken from ``target``, the steps, and whether the class flipped.
     """
     c0 = _predicted(p0)
     y_hat = 1 if c0 == 1 else -1
-    current = list(x0)
     remaining = [j for j in range(len(x0)) if x0[j] != target[j]]
+    # A feature is copied at most once, so its step always runs from x0[j] to target[j].
+    costs = {j: ctx.weights[j] * heom_feature(ctx.stats[j], x0[j], target[j])
+             for j in remaining} if kind is RewardKind.PROXIMITY else {}
     p_prev = p0
     model_state = ctx.model.swap_state(x0, target)
     ae_prev = scorer_state = None
@@ -317,35 +316,26 @@ def _greedy_toward(
         ae_prev = ctx.scorer(x0)
         scorer_state = swap_state(ctx.scorer, x0, target)
     steps: list[TraceStep] = []
-    while remaining:
+    flipped = False
+    while remaining and not flipped:
         p_cands = model_state.scores(remaining)
-        if scorer_state is not None:
-            ae_cands = scorer_state.scores(remaining)
-        else:
-            ae_cands = [None] * len(remaining)
-        best = 0
-        best_reward = None
+        ae_cands = [None] * len(remaining) if scorer_state is None else scorer_state.scores(remaining)
+        best = best_reward = None
         for i, j in enumerate(remaining):
-            # A feature is copied at most once, so the current row still holds x0[j].
-            r = _reward_core(
-                kind, ctx, y_hat, p_prev, float(p_cands[i]), j,
-                x0[j], target[j], ae_prev, ae_cands[i],
-            )
-            # A NaN reward (inf - inf in the plausibility product) ranks below every number.
-            if best_reward is None or r > best_reward or (
-                    math.isnan(best_reward) and not math.isnan(r)):
+            r = _reward(kind, y_hat, p_prev, float(p_cands[i]), costs.get(j), ae_prev, ae_cands[i])
+            # A NaN reward (inf - inf in the plausibility product) ranks below every
+            # number; x != x holds for NaN only.
+            if best is None or r > best_reward or (best_reward != best_reward and r == r):
                 best, best_reward = i, r
         chosen_j = remaining.pop(best)
-        p_prev = float(p_cands[best])
-        ae_prev = ae_cands[best]
-        current[chosen_j] = target[chosen_j]
+        p_prev, ae_prev = float(p_cands[best]), ae_cands[best]
         model_state.take(chosen_j)
         if scorer_state is not None:
             scorer_state.take(chosen_j)
         steps.append(TraceStep(chosen_j, best_reward, _signed(p_prev)))
-        if _predicted(p_prev) != c0:
-            return tuple(current), tuple(steps), True
-    return tuple(current), tuple(steps), False
+        flipped = _predicted(p_prev) != c0
+    taken = {step.feature for step in steps}
+    return tuple(target[j] if j in taken else v for j, v in enumerate(x0)), tuple(steps), flipped
 
 
 def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanation:

@@ -25,6 +25,7 @@ must be numbers in [0, 1], one per instance, in order.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import shlex
@@ -457,7 +458,7 @@ class HttpTransport:
         try:
             with urllib.request.urlopen(req, timeout=self.TIMEOUT_S) as resp:
                 body = resp.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
             raise ModelIOError(f"endpoint {self.url}: {exc}") from exc
         return _parse_scores(body, expected, f"endpoint {self.url}")
 

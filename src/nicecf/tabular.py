@@ -199,7 +199,7 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
 
     Format: ``{"features": [{"name": ..., "kind": "categorical"|"numerical",
     "categories": [...]?}, ...], "label": str|null}``, with at least one feature.
-    Feature names and the label name must all differ.
+    Feature names and the label name must be non-empty and all differ.
     """
     try:
         doc = json.loads(Path(schema_file).read_text(encoding="utf-8"))
@@ -224,6 +224,8 @@ def load_schema(schema_file: str | Path) -> tuple[list[FeatureSpec], str | None]
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise IngestError("schema 'label' must be a string or null")
+    if label == "":
+        raise IngestError("schema 'label' must not be empty; null means no label")
     names = [s.name for s in specs] + ([label] if label is not None else [])
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:

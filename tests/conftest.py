@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nicecf.model import ClassifierHandle
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
+
+# Every property test draws the same examples on every run and in every
+# checkout: no random draws, no example database to replay.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Populated by the acceptance tests; rendered after the run so the lines
 # survive output capture.

@@ -16,7 +16,12 @@ from nicecf.cli import run_command
 from nicecf.synthetic import make_dataset, save_dataset
 from nicecf.tabular import Dataset, FeatureSpec, fit_stats, load_dataset, split
 from test_cli_fuzz import reject_constant
-from test_external_model import UNREADABLE_SCORES, replying_worker
+from test_external_model import (
+    MALFORMED_REPLIES,
+    UNREADABLE_SCORES,
+    raw_http_server,
+    replying_worker,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +158,17 @@ class TestParsing:
         code = run_command(["describe", "--schema", str(schema), "--data", data_files[1]])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    def test_empty_label_name_is_input_error(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"features": [{"name": "f0", "kind": "numerical"}],
+                                      "label": ""}))
+        (tmp_path / "data.csv").write_text("f0\n1.0\n")
+        code = run_command(["describe", "--schema", str(schema),
+                            "--data", str(tmp_path / "data.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: schema 'label' must not be empty")
 
 
 # JSON text that json.loads rejects with other errors than JSONDecodeError:
@@ -401,6 +417,14 @@ class TestExplain:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_http_reply_is_runtime_failure(self, data_files, capsys):
+        with raw_http_server(MALFORMED_REPLIES["bad-status-line"]) as address:
+            code = run_command(
+                ["explain", *common(data_files), "--model", f"http:{address}", "--index", "0"]
+            )
+        assert code == 2
+        assert "error: endpoint" in capsys.readouterr().err
 
 
 class TestWeights:

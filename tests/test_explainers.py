@@ -250,6 +250,20 @@ class TestNiceGeneral:
         assert [(s.feature, s.reward) for s in expl.trace] == [(1, math.inf), (0, 0.0), (2, 0.0)]
         assert expl.valid
 
+    def test_nan_reward_loses_to_minus_infinity(self, scripted_model_cls):
+        # Iteration 1 rewards are [-0.0 * -inf, 0.4 * -inf] = [nan, -inf]; ranking
+        # NaN as -inf would pick feature 0 first. Iteration 2's reward is inf - inf.
+        train = Dataset(cat_schema(2), [("x", "x"), ("y", "y")], labels=[0, 1])
+        model = scripted_model_cls({("x", "x"): 0.2, ("y", "y"): 0.9,
+                                    ("y", "x"): 0.2, ("x", "y"): 0.4})
+        scorer = lambda x: 0.0 if x == ("x", "x") else math.inf
+        ctx = SearchContext(train, fit_stats(train), model, scorer=scorer)
+        expl = explain_nice(("x", "x"), RewardKind.PLAUSIBILITY, ctx)
+        assert [s.feature for s in expl.trace] == [1, 0]
+        assert expl.trace[0].reward == -math.inf
+        assert math.isnan(expl.trace[1].reward)
+        assert expl.valid
+
     def test_all_nan_rewards_tie_to_the_smallest_feature(self, scripted_model_cls):
         train = Dataset(num_schema(2), [(0.0, 0.0), (1.0, 1.0)], labels=[0, 1])
         model = scripted_model_cls({(0.0, 0.0): 0.1, (1.0, 1.0): 0.9}, default=0.3)

@@ -4,8 +4,10 @@ import json
 import os
 import re
 import signal
+import socket
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -245,7 +247,61 @@ def http_scorer():
     thread.join(timeout=5)
 
 
+# Replies that http.client cannot read: a status line that is not HTTP
+# (BadStatusLine) and a body shorter than its declared length (IncompleteRead).
+MALFORMED_REPLIES = {
+    "bad-status-line": b"garbage\r\n\r\n",
+    "short-body": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"scores": [0.5',
+}
+
+
+def _read_request(conn):
+    """Read one HTTP request, headers and body, so closing sends no reset."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += conn.recv(65536)
+    head, body = data.split(b"\r\n\r\n", 1)
+    length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+    while len(body) < length:
+        body += conn.recv(65536)
+
+
+@contextmanager
+def raw_http_server(reply: bytes):
+    """Answer every request with the bytes ``reply`` and close; yields ``host:port/``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                _read_request(conn)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}/"
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
 class TestHttp:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_REPLIES))
+    def test_malformed_reply(self, name):
+        with raw_http_server(MALFORMED_REPLIES[name]) as address:
+            handle = external_model(f"http:{address}")
+            with pytest.raises(ModelIOError, match=rf"^endpoint http://{re.escape(address)}: "):
+                handle.score((1.0,))
+
     def test_scores_instances(self, http_scorer):
         handle = external_model(f"http:{http_scorer}")
         assert handle.score((1.0, "x")) == 0.25

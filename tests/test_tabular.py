@@ -18,6 +18,7 @@ from nicecf.tabular import (
     encode_batch,
     fit_stats,
     load_dataset,
+    load_schema,
     split,
 )
 from strategies import mixed_tables
@@ -158,6 +159,18 @@ class TestLoadDataset:
         schema, data = write_pair(tmp_path, {**BASIC_SCHEMA, "label": label},
                                   "age,color,label\n30,red,0\n")
         with pytest.raises(IngestError, match="^schema 'label' must be a string or null$"):
+            load_dataset(schema, data)
+
+    # With the label name "", the first CSV failed on its header and the second
+    # loaded as unlabeled.
+    @pytest.mark.parametrize("csv_text", ["f0,\n1.0,1\n", "f0\n1.0\n"])
+    def test_empty_label_name_rejected(self, tmp_path, csv_text):
+        doc = {"features": [{"name": "f0", "kind": "numerical"}], "label": ""}
+        schema, data = write_pair(tmp_path, doc, csv_text)
+        message = "^schema 'label' must not be empty; null means no label$"
+        with pytest.raises(IngestError, match=message):
+            load_schema(schema)
+        with pytest.raises(IngestError, match=message):
             load_dataset(schema, data)
 
     @pytest.mark.parametrize("lines, message", [
