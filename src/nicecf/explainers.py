@@ -28,9 +28,13 @@ reward run toward the training mean/mode instance instead of a training
 row, and so has no flip guarantee; and a case-based explainer reusing
 pairs of training rows that differ in at most two features (cbr).
 
-Every explainer starts the same way: it holds the source to the row rule of
-:class:`Dataset` (raising :class:`EncodeError` for a source that breaks it,
-whatever the model), starts its clock and scores the source once.
+Every explainer starts from one record of its source: the source held to
+the row rule of :class:`Dataset` (raising :class:`EncodeError` for a source
+that breaks it, whatever the model), its score, and its nearest unlike
+neighbour once a hybrid search has looked it up. Each thread keeps the last
+record it made on the context, and the next explainer on the same tuple, the
+same model and the same weights starts from it, so running all seven
+explainers on a source checks it, scores it and scans for its neighbour once.
 """
 
 from __future__ import annotations
@@ -110,7 +114,8 @@ class SearchContext:
     mean/mode instance is computed up front; the model-dependent state
     (training-set predictions, the case base of near-duplicate cross-class
     pairs) is computed lazily under a lock, so one context can serve many
-    threads.
+    threads. Each thread also keeps, unshared, the record of the last source
+    it explained.
     """
 
     def __init__(
@@ -133,6 +138,7 @@ class SearchContext:
         self._lock = threading.Lock()
         self._train_predictions: np.ndarray | None = None
         self._case_base: np.ndarray | None = None
+        self._last_source = threading.local()
 
     def train_predictions(self) -> np.ndarray:
         """Model predictions for every training row, cached after first use."""
@@ -245,16 +251,55 @@ def reward(
     return _reward(kind, y_hat, p_prev, p_cand, cost, ae_prev, ae_cand)
 
 
-def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, float, int]:
+_UNSEEN = object()  # a record's neighbour before any hybrid search has looked for it
+
+
+class _Source:
+    """What every explainer needs of one source, worked out once.
+
+    ``x0`` passed the row rule; ``p0`` and ``c0`` are its score and class
+    under ``model``. ``nun`` is the index of its nearest unlike neighbour
+    under ``weights`` once a hybrid search has looked it up, None when no
+    row qualifies, and ``_UNSEEN`` before.
+    """
+
+    __slots__ = ("x0", "model", "weights", "p0", "c0", "nun")
+
+    def __init__(self, x0: Instance, model: ClassifierHandle, weights: Sequence[float]):
+        self.x0, self.model, self.weights = x0, model, weights
+        self.p0 = model.score(x0)
+        self.c0 = _predicted(self.p0)
+        self.nun: int | None | object = _UNSEEN
+
+
+def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
     """The start of every explainer: check ``x0``, start the clock, score ``x0`` once.
 
-    Raises :class:`EncodeError` when ``x0`` breaks the row rule. Returns
-    (start time, score, predicted class).
+    The thread's last record is reused when it was made for this very
+    ``x0``, a tuple, under the context's current model and weights; only a
+    tuple cannot have changed since. Otherwise raises :class:`EncodeError`
+    when ``x0`` breaks the row rule, and makes the thread's new record.
+    Returns (start time, record).
     """
+    last = getattr(ctx._last_source, "record", None)
+    if (last is not None and last.x0 is x0 and type(x0) is tuple
+            and last.model is ctx.model and last.weights is ctx.weights):
+        return time.perf_counter(), last
     ctx.train.rule.check(x0)
     t0 = time.perf_counter()
-    p0 = ctx.model.score(x0)
-    return t0, p0, _predicted(p0)
+    record = ctx._last_source.record = _Source(x0, ctx.model, ctx.weights)
+    return t0, record
+
+
+def _nearest_unlike(source: _Source, ctx: SearchContext) -> int | None:
+    """The record's nearest unlike neighbour, scanned for on first use; None when no row qualifies."""
+    if source.nun is _UNSEEN:
+        try:
+            source.nun = nearest_unlike_neighbor(
+                ctx.stats, source.x0, ctx.train, ctx.train_predictions(), source.c0, source.weights)
+        except NoUnlikeNeighborError:
+            source.nun = None
+    return source.nun
 
 
 def _explanation(
@@ -349,17 +394,15 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     """
     if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
         raise ConfigError("plausibility search requires a scorer on the context")
-    t0, p0, c0 = _classify(x0, ctx)
-    preds = ctx.train_predictions()
-    try:
-        nn_index = nearest_unlike_neighbor(ctx.stats, x0, ctx.train, preds, c0, ctx.weights)
-    except NoUnlikeNeighborError:
+    t0, source = _classify(x0, ctx)
+    nn_index = _nearest_unlike(source, ctx)
+    if nn_index is None:
         return _explanation(f"nice-{kind.value}", x0, tuple(x0), False, t0)
     x_nn = ctx.train.rows[nn_index]
     if kind is RewardKind.NONE:
         counterfactual, trace, valid = x_nn, (), True
     else:
-        counterfactual, trace, valid = _greedy_toward(x0, p0, x_nn, kind, ctx)
+        counterfactual, trace, valid = _greedy_toward(x0, source.p0, x_nn, kind, ctx)
     return _explanation(
         f"nice-{kind.value}", x0, counterfactual, valid, t0, trace, x_nn, nn_index
     )
@@ -377,8 +420,8 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     nearest is the first such row in :func:`k_smallest` order. When no row
     qualifies, the result is the source unchanged with ``valid=False``.
     """
-    t0, _, c0 = _classify(x0, ctx)
-    rows = np.flatnonzero(ctx.train_predictions() != c0)
+    t0, source = _classify(x0, ctx)
+    rows = np.flatnonzero(ctx.train_predictions() != source.c0)
     if len(rows) == 0:
         return _explanation("wit", x0, tuple(x0), False, t0)
     index = int(rows[k_smallest(_wit_distances(ctx, x0)[rows], 1)[0]])
@@ -397,9 +440,9 @@ def explain_sedc(x0: Instance, ctx: SearchContext) -> Explanation:
     c, every instance predicted as the other class is explained successfully,
     because the search terminates at that instance in the worst case.
     """
-    t0, p0, _ = _classify(x0, ctx)
+    t0, source = _classify(x0, ctx)
     counterfactual, trace, valid = _greedy_toward(
-        x0, p0, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx
+        x0, source.p0, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx
     )
     return _explanation("sedc", x0, counterfactual, valid, t0, trace)
 
@@ -415,7 +458,8 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     the first pair in case-base order. An empty case base, or a copy that
     fails to flip the class, yields ``valid=False``.
     """
-    t0, _, c0 = _classify(x0, ctx)
+    t0, source = _classify(x0, ctx)
+    c0 = source.c0
     base = ctx.case_base()
     if len(base) == 0:
         return _explanation("cbr", x0, tuple(x0), False, t0)

@@ -49,6 +49,7 @@ from .tabular import (
     HybridSwaps,
     Instance,
     _OUT_OF_RANGE,
+    _check_descent,
     _encode_training_rows,
     _plan,
     encode,
@@ -138,14 +139,15 @@ def train_logistic(
     """Full-batch gradient descent on the mean log-loss.
 
     Weights start at zero, so the fit is deterministic. Statistics that do
-    not describe ``train`` raise :class:`DistanceError`.
+    not describe ``train`` raise :class:`DistanceError`; ``epochs`` other
+    than an int >= 1, or ``step`` other than a finite number > 0, raise
+    :class:`ConfigError`.
     """
     if train.labels is None:
         raise TrainError("training dataset has no labels")
     if len(train) == 0:
         raise TrainError("cannot train on an empty dataset")
-    if epochs < 1 or step <= 0.0:
-        raise ConfigError("epochs must be >= 1 and step > 0")
+    _check_descent(epochs, step)
     X = _encode_training_rows(stats, train)
     y = train.label_array()  # 0 and 1 promote to float64 exactly
     n = len(train)

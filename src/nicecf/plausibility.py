@@ -33,6 +33,7 @@ from .tabular import (
     FeatureStats,
     HybridSwaps,
     Instance,
+    _check_descent,
     _encode_training_rows,
     _plan,
     encode,
@@ -52,8 +53,7 @@ class AEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.step <= 0.0:
-            raise ConfigError("epochs must be >= 1 and step > 0")
+        _check_descent(self.epochs, self.step)
 
 
 class AEModel:

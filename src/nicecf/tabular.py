@@ -456,6 +456,24 @@ def _encode_training_rows(stats: Sequence[FeatureStats], train: Dataset) -> np.n
     return encoder(plan, train.rows)
 
 
+def _check_descent(epochs: int, step: float) -> None:
+    """Check the settings of a gradient-descent fit on :func:`_encode_training_rows`.
+
+    ``epochs`` must be an int (not a bool) of at least 1, and ``step`` an int
+    or float (not a bool) that is finite and above 0: a NaN or infinite step
+    would fit non-finite weights, and a fractional epoch count fails later.
+    """
+    if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
+        raise ConfigError(f"epochs must be an int >= 1, got {epochs!r}")
+    try:
+        good = (not isinstance(step, bool) and isinstance(step, (int, float))
+                and 0.0 < float(step) < math.inf)
+    except OverflowError:
+        good = False
+    if not good:
+        raise ConfigError(f"step must be a finite number > 0, got {step!r}")
+
+
 def _encoded_values(plan: _EncodingPlan, x: Instance) -> list[float]:
     """The one row encoder: the encoding of a checked row, as a list of floats."""
     out = [0.0] * plan.width  # a list is filled faster than an array, and converts exactly

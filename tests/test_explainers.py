@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -284,15 +286,20 @@ class TestNiceGeneral:
 
 
 class CountingModel(ClassifierHandle):
-    """Wraps a model and counts the scored rows equal to ``watched``."""
+    """Wraps a model and counts, under a lock, how often it scores the watched objects themselves."""
 
     def __init__(self, inner, watched):
         self.inner = inner
-        self.watched = tuple(watched)
+        self.watched = {id(x): x for x in watched}
         self.count = 0
+        self.lock = threading.Lock()
+
+    def swap_state(self, current, target):
+        return self.inner.swap_state(current, target)
 
     def score_batch(self, xs):
-        self.count += sum(1 for x in xs if tuple(x) == self.watched)
+        with self.lock:
+            self.count += sum(1 for x in xs if self.watched.get(id(x)) is x)
         return self.inner.score_batch(xs)
 
 
@@ -316,7 +323,7 @@ def one_flip_context(scripted_model_cls, p0):
     flipped = ("c", "a", "a")  # the only class-1 row; it makes two cbr pairs
     train = Dataset(cat_schema(3), [("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b"), flipped],
                     labels=[0, 0, 0, 1])
-    model = CountingModel(scripted_model_cls({x0: p0, flipped: 0.9}, default=0.2), x0)
+    model = CountingModel(scripted_model_cls({x0: p0, flipped: 0.9}, default=0.2), [x0])
     ctx = SearchContext(train, fit_stats(train), model, scorer=lambda x: 1.0)
     ctx.warm()
     return x0, ctx
@@ -353,6 +360,127 @@ def test_no_eligible_row_is_an_invalid_explanation(scripted_model_cls, explainer
     if explainer_id.startswith("nice-") or explainer_id == "wit":
         assert (expl.counterfactual, expl.changed_features, expl.trace, expl.anchor,
                 expl.anchor_index) == (("a",), frozenset(), (), None, None)
+
+
+class FlipOne(ClassifierHandle):
+    """A model's scores, except that the object ``flipped`` itself scores ``1 - p``."""
+
+    def __init__(self, inner, flipped):
+        self.inner = inner
+        self.flipped = flipped
+
+    def score_batch(self, xs):
+        scores = self.inner.score_batch(xs)
+        return np.array([1.0 - p if x is self.flipped else p for x, p in zip(xs, scores)])
+
+
+def held_out(data, n_train=120):
+    """A training set of the first ``n_train`` rows, the other rows as sources, and statistics."""
+    train = Dataset(data.schema, data.rows[:n_train], labels=data.labels[:n_train])
+    return train, list(data.rows[n_train:]), fit_stats(train)
+
+
+def outcome(expl):
+    """What an explanation says, floats in hex."""
+    return (expl.explainer_id, expl.source, expl.counterfactual, expl.valid, expl.anchor_index,
+            tuple((s.feature, s.reward.hex(), s.score.hex()) for s in expl.trace))
+
+
+def fresh(x0, eid, train, stats, model, weights=None):
+    """The outcome of ``eid`` on ``x0`` in a context of its own, where nothing can be reused."""
+    return outcome(ALL_EXPLAINERS[eid](x0, SearchContext(train, stats, model, weights, hash_scorer)))
+
+
+def test_record_scores_and_scans_each_source_once(quantized_dataset, monkeypatch):
+    # All seven explainers, source after source, on one context: one score of
+    # each source, one nearest-unlike-neighbour scan for the four nice-* ones.
+    train, sources, stats = held_out(quantized_dataset)
+    sources = sources[:6]
+    model = CountingModel(train_logistic(stats, train), sources)
+    expected = [fresh(x0, eid, train, stats, model.inner) for x0 in sources for eid in ALL_EXPLAINERS]
+    scans = []
+    scan = nicecf.explainers.nearest_unlike_neighbor
+    monkeypatch.setattr(nicecf.explainers, "nearest_unlike_neighbor",
+                        lambda *args: scans.append(args[1]) or scan(*args))
+    ctx = SearchContext(train, stats, model, scorer=hash_scorer)
+    got = [outcome(explain(x0, ctx)) for x0 in sources for explain in ALL_EXPLAINERS.values()]
+    assert got == expected
+    assert model.count == len(sources)
+    assert scans == sources
+
+
+@pytest.mark.parametrize("replaced", ["model", "weights"])
+def test_record_follows_a_replaced_model_or_weights(quantized_dataset, replaced):
+    train, sources, stats = held_out(quantized_dataset)
+    model = train_logistic(stats, train)
+    weights = (9.0, 1.0, 1.0, 1.0, 1.0)
+    if replaced == "model":
+        x0 = sources[0]
+        new_model, new_weights = FlipOne(model, x0), None
+    else:
+        # A source whose anchor moves under the new weights.
+        x0 = next(x for x in sources if fresh(x, "nice-none", train, stats, model)
+                  != fresh(x, "nice-none", train, stats, model, weights))
+        new_model, new_weights = model, weights
+    ctx = SearchContext(train, stats, model, scorer=hash_scorer)
+    before = [outcome(explain(x0, ctx)) for explain in ALL_EXPLAINERS.values()]
+    ctx.model, ctx.weights = new_model, ctx.weights if new_weights is None else new_weights
+    after = [outcome(explain(x0, ctx)) for explain in ALL_EXPLAINERS.values()]
+    assert after == [fresh(x0, eid, train, stats, new_model, new_weights) for eid in ALL_EXPLAINERS]
+    assert after[0] != before[0]
+
+
+def test_record_is_not_reused_for_a_mutated_list(quantized_dataset):
+    train, sources, stats = held_out(quantized_dataset)
+    model = train_logistic(stats, train)
+    a = sources[0]
+    b = next(x for x in sources if model.predict(x) != model.predict(a))
+    ctx = SearchContext(train, stats, model, scorer=hash_scorer)
+    x0 = list(a)
+    for eid, explain in ALL_EXPLAINERS.items():
+        assert outcome(explain(x0, ctx)) == fresh(tuple(x0), eid, train, stats, model)
+        x0[:] = b if tuple(x0) == a else a
+
+
+def test_threads_keep_records_of_their_own(quantized_dataset):
+    # Four threads on one context, in lockstep: every thread finishes one
+    # explainer before any starts the next, and neighbouring threads explain
+    # different sources. Each must give the serial results, and score each
+    # source once per visit.
+    train, sources, stats = held_out(quantized_dataset)
+    pair = sources[:2]
+    model = CountingModel(train_logistic(stats, train), pair)
+    expected = {(i, eid): fresh(x0, eid, train, stats, model.inner)
+                for i, x0 in enumerate(pair) for eid in ALL_EXPLAINERS}
+    ctx = SearchContext(train, stats, model, scorer=hash_scorer)
+    ctx.warm(include_case_base=True)
+    n_threads, visits = 4, 3
+    barrier = threading.Barrier(n_threads, timeout=30)
+    got = [[] for _ in range(n_threads)]
+
+    def work(t):
+        for k in range(visits):
+            i = (k + t) % 2
+            for eid, explain in ALL_EXPLAINERS.items():
+                got[t].append(((i, eid), outcome(explain(pair[i], ctx))))
+                barrier.wait()
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t, results in enumerate(got):
+        assert [key for key, _ in results] == [
+            ((k + t) % 2, eid) for k in range(visits) for eid in ALL_EXPLAINERS]
+        assert all(out == expected[key] for key, out in results)
+    assert model.count == n_threads * visits
 
 
 def value_hash(x, salt=b""):

@@ -12,6 +12,10 @@ from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
 from strategies import knn_problems, knn_reference_score, mixed_tables
 
+# Gradient-descent settings that both fits reject, one setting at a time.
+BAD_DESCENT = [{"epochs": e} for e in (0, -1, 2.5, True, "3")] + [
+    {"step": s} for s in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.5", 10**400)]
+
 
 class TestLogistic:
     def test_learns_separable_data(self):
@@ -70,10 +74,9 @@ class TestLogistic:
             train_logistic(tiny_stats, empty)
 
     def test_rejects_bad_hyperparameters(self, tiny_dataset, tiny_stats):
-        with pytest.raises(ConfigError):
-            train_logistic(tiny_stats, tiny_dataset, epochs=0)
-        with pytest.raises(ConfigError):
-            train_logistic(tiny_stats, tiny_dataset, step=0.0)
+        for setting in BAD_DESCENT:
+            with pytest.raises(ConfigError, match=f"^{next(iter(setting))} must be"):
+                train_logistic(tiny_stats, tiny_dataset, **setting)
 
 
 class TestKnn:

@@ -15,6 +15,7 @@ from nicecf.plausibility import (
 )
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
+from test_model import BAD_DESCENT
 
 
 class TestAeError:
@@ -100,10 +101,9 @@ class TestTraining:
         assert any("degenerate" in r.message for r in caplog.records)
 
     def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            AEConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            AEConfig(step=-1.0)
+        for setting in BAD_DESCENT:
+            with pytest.raises(ConfigError, match=f"^{next(iter(setting))} must be"):
+                AEConfig(**setting)
 
 
 class TestGradients:

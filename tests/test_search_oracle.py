@@ -5,10 +5,13 @@ unlike neighbour by a loop of :func:`heom` over the training rows, with the
 correctness filter and ties to the first row; every single-feature hybrid
 scored with its own ``model.score`` call in every iteration; the three
 reward formulas written out; a NaN reward below every number and ties to
-the smallest feature index. nice-spars, nice-prox, nice-plaus and sedc must
-give the same counterfactual, validity, anchor row and trace under every
-kind of model: logistic, kNN, and a handle that implements only
-``score_batch``.
+the smallest feature index. nice-none, nice-spars, nice-prox, nice-plaus and
+sedc must give the same counterfactual, validity, anchor row and trace under
+every kind of model: logistic, kNN, and a handle that implements only
+``score_batch``; nice-plaus under a plain callable scorer and under the
+autoencoder's. Each model's explainers run one after another on one context
+and one source tuple, so every one after the first starts from the record of
+the source that the first made, and the anchor the first nice-* search found.
 """
 
 import math
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from nicecf.distance import heom
 from nicecf.explainers import RewardKind, SearchContext, explain_nice, explain_sedc
 from nicecf.model import train_knn_classifier, train_logistic
+from nicecf.plausibility import AEConfig, ae_scorer, train_autoencoder
 from nicecf.tabular import Dataset, FeatureKind, fit_stats
 from strategies import FEW_NUMBERS, NUMBERS, mixed_tables
 from test_swaps import ScoreBatchOnly
@@ -89,6 +93,8 @@ def reference(x0, kind, model, scorer, table, stats, weights):
         if anchor is None:
             return tuple(x0), False, None, []
         target = table.rows[anchor]
+        if kind is RewardKind.NONE:
+            return target, True, anchor, []
     scorer = scorer if kind is RewardKind.PLAUSIBILITY else None
     counterfactual, trace, valid = reference_search(x0, target, kind, model, scorer, stats, weights)
     return counterfactual, valid, anchor, trace
@@ -130,11 +136,16 @@ def test_greedy_explainers_match_the_reference(problem):
     models = [logistic, ScoreBatchOnly(logistic), train_knn_classifier(stats, table, 1)]
     if len(table) >= 3:
         models.append(train_knn_classifier(stats, table, 3))
+    ae = ae_scorer(train_autoencoder(table, AEConfig(epochs=3), stats), stats)
+    runs = [(RewardKind.NONE, scorer), (RewardKind.SPARSITY, scorer),
+            (RewardKind.PROXIMITY, scorer), (RewardKind.PLAUSIBILITY, scorer),
+            (RewardKind.PLAUSIBILITY, ae), (None, scorer)]
     for model in models:
-        ctx = SearchContext(table, stats, model, weights, scorer)
-        for kind in (RewardKind.SPARSITY, RewardKind.PROXIMITY, RewardKind.PLAUSIBILITY, None):
+        ctx = SearchContext(table, stats, model, weights)
+        for kind, kind_scorer in runs:
+            ctx.scorer = kind_scorer
             got = explain_sedc(x0, ctx) if kind is None else explain_nice(x0, kind, ctx)
             counterfactual, valid, anchor, trace = reference(
-                x0, kind, model, scorer, table, stats, weights)
+                x0, kind, model, ctx.scorer, table, stats, weights)
             assert (got.counterfactual, got.valid, got.anchor_index) == (counterfactual, valid, anchor)
             assert hex_trace((s.feature, s.reward, s.score) for s in got.trace) == hex_trace(trace)
