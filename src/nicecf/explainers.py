@@ -35,6 +35,8 @@ neighbour once a hybrid search has looked it up. Each thread keeps the last
 record it made on the context, and the next explainer on the same tuple, the
 same model and the same weights starts from it, so running all seven
 explainers on a source checks it, scores it and scans for its neighbour once.
+The time of that score and scan still counts in the ``elapsed_ms`` of every
+explainer that uses them, so each reports its full cost whatever ran first.
 """
 
 from __future__ import annotations
@@ -251,25 +253,39 @@ def reward(
     return _reward(kind, y_hat, p_prev, p_cand, cost, ae_prev, ae_cand)
 
 
-_UNSEEN = object()  # a record's neighbour before any hybrid search has looked for it
-
-
 class _Source:
     """What every explainer needs of one source, worked out once.
 
     ``x0`` passed the row rule; ``p0`` and ``c0`` are its score and class
-    under ``model``. ``nun`` is the index of its nearest unlike neighbour
-    under ``weights`` once a hybrid search has looked it up, None when no
-    row qualifies, and ``_UNSEEN`` before.
+    under ``model``, and ``score_s`` the seconds that score took.
+    :meth:`nun` scans for its nearest unlike neighbour under ``weights`` on
+    first use; ``nun_s`` is the seconds that scan took, None before it.
+    An explainer that reuses the record adds these times to its own, so each
+    reports its full cost whichever explainer ran first.
     """
 
-    __slots__ = ("x0", "model", "weights", "p0", "c0", "nun")
+    __slots__ = ("x0", "model", "weights", "p0", "c0", "score_s", "nun_s", "_nun")
 
     def __init__(self, x0: Instance, model: ClassifierHandle, weights: Sequence[float]):
         self.x0, self.model, self.weights = x0, model, weights
+        t0 = time.perf_counter()
         self.p0 = model.score(x0)
+        self.score_s = time.perf_counter() - t0
         self.c0 = _predicted(self.p0)
-        self.nun: int | None | object = _UNSEEN
+        self.nun_s: float | None = None
+
+    def nun(self, ctx: SearchContext) -> int | None:
+        """The nearest unlike neighbour's index, scanned for on first use; None when no row qualifies."""
+        if self.nun_s is None:
+            preds = ctx.train_predictions()  # once per context, so not charged to the source
+            t0 = time.perf_counter()
+            try:
+                self._nun = nearest_unlike_neighbor(
+                    ctx.stats, self.x0, ctx.train, preds, self.c0, self.weights)
+            except NoUnlikeNeighborError:
+                self._nun = None
+            self.nun_s = time.perf_counter() - t0
+        return self._nun
 
 
 def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
@@ -277,29 +293,19 @@ def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
 
     The thread's last record is reused when it was made for this very
     ``x0``, a tuple, under the context's current model and weights; only a
-    tuple cannot have changed since. Otherwise raises :class:`EncodeError`
-    when ``x0`` breaks the row rule, and makes the thread's new record.
-    Returns (start time, record).
+    tuple cannot have changed since. The clock then starts the record's
+    ``score_s`` back. Otherwise raises :class:`EncodeError` when ``x0``
+    breaks the row rule, and makes the thread's new record. Returns (start
+    time, record).
     """
     last = getattr(ctx._last_source, "record", None)
     if (last is not None and last.x0 is x0 and type(x0) is tuple
             and last.model is ctx.model and last.weights is ctx.weights):
-        return time.perf_counter(), last
+        return time.perf_counter() - last.score_s, last
     ctx.train.rule.check(x0)
     t0 = time.perf_counter()
     record = ctx._last_source.record = _Source(x0, ctx.model, ctx.weights)
     return t0, record
-
-
-def _nearest_unlike(source: _Source, ctx: SearchContext) -> int | None:
-    """The record's nearest unlike neighbour, scanned for on first use; None when no row qualifies."""
-    if source.nun is _UNSEEN:
-        try:
-            source.nun = nearest_unlike_neighbor(
-                ctx.stats, source.x0, ctx.train, ctx.train_predictions(), source.c0, source.weights)
-        except NoUnlikeNeighborError:
-            source.nun = None
-    return source.nun
 
 
 def _explanation(
@@ -395,7 +401,9 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     if kind is RewardKind.PLAUSIBILITY and ctx.scorer is None:
         raise ConfigError("plausibility search requires a scorer on the context")
     t0, source = _classify(x0, ctx)
-    nn_index = _nearest_unlike(source, ctx)
+    if source.nun_s is not None:
+        t0 -= source.nun_s  # the scan an earlier explainer made counts in this one's time too
+    nn_index = source.nun(ctx)
     if nn_index is None:
         return _explanation(f"nice-{kind.value}", x0, tuple(x0), False, t0)
     x_nn = ctx.train.rows[nn_index]

@@ -140,7 +140,7 @@ def train_logistic(
 
     Weights start at zero, so the fit is deterministic. Statistics that do
     not describe ``train`` raise :class:`DistanceError`; ``epochs`` other
-    than an int >= 1, or ``step`` other than a finite number > 0, raise
+    than an integer >= 1, or ``step`` other than a finite number > 0, raise
     :class:`ConfigError`.
     """
     if train.labels is None:
@@ -148,6 +148,7 @@ def train_logistic(
     if len(train) == 0:
         raise TrainError("cannot train on an empty dataset")
     _check_descent(epochs, step)
+    step = float(step)  # a NumPy float32 step would round the intercept to float32
     X = _encode_training_rows(stats, train)
     y = train.label_array()  # 0 and 1 promote to float64 exactly
     n = len(train)

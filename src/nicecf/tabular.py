@@ -18,6 +18,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -459,14 +460,16 @@ def _encode_training_rows(stats: Sequence[FeatureStats], train: Dataset) -> np.n
 def _check_descent(epochs: int, step: float) -> None:
     """Check the settings of a gradient-descent fit on :func:`_encode_training_rows`.
 
-    ``epochs`` must be an int (not a bool) of at least 1, and ``step`` an int
-    or float (not a bool) that is finite and above 0: a NaN or infinite step
-    would fit non-finite weights, and a fractional epoch count fails later.
+    ``epochs`` must be an integer (a :class:`numbers.Integral` such as an
+    int or ``np.int64``, not a bool) of at least 1, and ``step`` a real
+    number (a :class:`numbers.Real` such as a float or ``np.float32``, not a
+    bool) that is finite and above 0: a NaN or infinite step would fit
+    non-finite weights, and a fractional epoch count fails later.
     """
-    if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
-        raise ConfigError(f"epochs must be an int >= 1, got {epochs!r}")
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 1:
+        raise ConfigError(f"epochs must be an integer >= 1, got {epochs!r}")
     try:
-        good = (not isinstance(step, bool) and isinstance(step, (int, float))
+        good = (not isinstance(step, bool) and isinstance(step, numbers.Real)
                 and 0.0 < float(step) < math.inf)
     except OverflowError:
         good = False

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -286,20 +287,15 @@ class TestNiceGeneral:
 
 
 class CountingModel(ClassifierHandle):
-    """Wraps a model and counts, under a lock, how often it scores the watched objects themselves."""
+    """Wraps a model and counts the scored rows equal to ``watched``."""
 
     def __init__(self, inner, watched):
         self.inner = inner
-        self.watched = {id(x): x for x in watched}
+        self.watched = tuple(watched)
         self.count = 0
-        self.lock = threading.Lock()
-
-    def swap_state(self, current, target):
-        return self.inner.swap_state(current, target)
 
     def score_batch(self, xs):
-        with self.lock:
-            self.count += sum(1 for x in xs if self.watched.get(id(x)) is x)
+        self.count += sum(1 for x in xs if tuple(x) == self.watched)
         return self.inner.score_batch(xs)
 
 
@@ -323,7 +319,7 @@ def one_flip_context(scripted_model_cls, p0):
     flipped = ("c", "a", "a")  # the only class-1 row; it makes two cbr pairs
     train = Dataset(cat_schema(3), [("b", "b", "a"), ("b", "a", "b"), ("a", "b", "b"), flipped],
                     labels=[0, 0, 0, 1])
-    model = CountingModel(scripted_model_cls({x0: p0, flipped: 0.9}, default=0.2), [x0])
+    model = CountingModel(scripted_model_cls({x0: p0, flipped: 0.9}, default=0.2), x0)
     ctx = SearchContext(train, fit_stats(train), model, scorer=lambda x: 1.0)
     ctx.warm()
     return x0, ctx
@@ -362,6 +358,26 @@ def test_no_eligible_row_is_an_invalid_explanation(scripted_model_cls, explainer
                 expl.anchor_index) == (("a",), frozenset(), (), None, None)
 
 
+class SourceCounter(ClassifierHandle):
+    """Wraps a model and counts, under a lock, how often it scores the objects ``sources`` themselves.
+
+    Rows are told apart by identity, not by value, since a hybrid of one
+    source may equal another. The default swap state is kept, so every row
+    a greedy search scores passes through ``score_batch`` too.
+    """
+
+    def __init__(self, inner, sources):
+        self.inner = inner
+        self.sources = {id(x): x for x in sources}
+        self.count = 0
+        self.lock = threading.Lock()
+
+    def score_batch(self, xs):
+        with self.lock:
+            self.count += sum(1 for x in xs if self.sources.get(id(x)) is x)
+        return self.inner.score_batch(xs)
+
+
 class FlipOne(ClassifierHandle):
     """A model's scores, except that the object ``flipped`` itself scores ``1 - p``."""
 
@@ -396,7 +412,7 @@ def test_record_scores_and_scans_each_source_once(quantized_dataset, monkeypatch
     # each source, one nearest-unlike-neighbour scan for the four nice-* ones.
     train, sources, stats = held_out(quantized_dataset)
     sources = sources[:6]
-    model = CountingModel(train_logistic(stats, train), sources)
+    model = SourceCounter(train_logistic(stats, train), sources)
     expected = [fresh(x0, eid, train, stats, model.inner) for x0 in sources for eid in ALL_EXPLAINERS]
     scans = []
     scan = nicecf.explainers.nearest_unlike_neighbor
@@ -442,6 +458,37 @@ def test_record_is_not_reused_for_a_mutated_list(quantized_dataset):
         x0[:] = b if tuple(x0) == a else a
 
 
+class SlowSource(ClassifierHandle):
+    """A model that takes at least ``seconds`` longer to score a row equal to ``x0``."""
+
+    def __init__(self, inner, x0, seconds):
+        self.inner, self.x0, self.seconds = inner, tuple(x0), seconds
+
+    def score_batch(self, xs):
+        if any(tuple(x) == self.x0 for x in xs):
+            time.sleep(self.seconds)
+        return self.inner.score_batch(xs)
+
+
+def test_reused_score_and_scan_count_in_every_explainers_time(quantized_dataset, monkeypatch):
+    # The source's score and its neighbour scan each take at least 20 ms and
+    # are done once per order. In either order every explainer's time holds
+    # the score, and every nice-* one's the scan as well.
+    train, sources, stats = held_out(quantized_dataset)
+    slow = 0.02
+    scan = nicecf.explainers.nearest_unlike_neighbor
+    monkeypatch.setattr(nicecf.explainers, "nearest_unlike_neighbor",
+                        lambda *args: time.sleep(slow) or scan(*args))
+    ctx = SearchContext(train, stats, SlowSource(train_logistic(stats, train), sources[0], slow),
+                        scorer=hash_scorer)
+    ctx.warm(include_case_base=True)
+    for order in (list(ALL_EXPLAINERS), list(reversed(ALL_EXPLAINERS))):
+        x0 = tuple(list(sources[0]))  # a new tuple, so the last order's record is not reused
+        for eid in order:
+            floor = 2 * slow if eid.startswith("nice-") else slow
+            assert ALL_EXPLAINERS[eid](x0, ctx).elapsed_ms >= floor * 1000.0 * 0.99, eid
+
+
 def test_threads_keep_records_of_their_own(quantized_dataset):
     # Four threads on one context, in lockstep: every thread finishes one
     # explainer before any starts the next, and neighbouring threads explain
@@ -449,7 +496,7 @@ def test_threads_keep_records_of_their_own(quantized_dataset):
     # source once per visit.
     train, sources, stats = held_out(quantized_dataset)
     pair = sources[:2]
-    model = CountingModel(train_logistic(stats, train), pair)
+    model = SourceCounter(train_logistic(stats, train), pair)
     expected = {(i, eid): fresh(x0, eid, train, stats, model.inner)
                 for i, x0 in enumerate(pair) for eid in ALL_EXPLAINERS}
     ctx = SearchContext(train, stats, model, scorer=hash_scorer)

@@ -13,8 +13,11 @@ from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
 from strategies import knn_problems, knn_reference_score, mixed_tables
 
 # Gradient-descent settings that both fits reject, one setting at a time.
-BAD_DESCENT = [{"epochs": e} for e in (0, -1, 2.5, True, "3")] + [
-    {"step": s} for s in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.5", 10**400)]
+BAD_DESCENT = [{"epochs": e} for e in (0, -1, 2.5, True, np.True_, "3", np.int64(0))] + [
+    {"step": s} for s in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.5", 10**400,
+                          np.float32("nan"), np.float32("inf"))]
+# NumPy scalars, as a hyperparameter grid gives them, that both fits take.
+NUMPY_DESCENT = {"epochs": np.int64(5), "step": np.float32(0.25)}
 
 
 class TestLogistic:
@@ -77,6 +80,12 @@ class TestLogistic:
         for setting in BAD_DESCENT:
             with pytest.raises(ConfigError, match=f"^{next(iter(setting))} must be"):
                 train_logistic(tiny_stats, tiny_dataset, **setting)
+
+    def test_takes_numpy_scalars(self, tiny_dataset, tiny_stats):
+        got = train_logistic(tiny_stats, tiny_dataset, **NUMPY_DESCENT)
+        plain = train_logistic(tiny_stats, tiny_dataset, epochs=5, step=float(np.float32(0.25)))
+        assert got.coef.tobytes() == plain.coef.tobytes()
+        assert float(got.intercept).hex() == float(plain.intercept).hex()
 
 
 class TestKnn:

@@ -15,7 +15,7 @@ from nicecf.plausibility import (
 )
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, fit_stats
-from test_model import BAD_DESCENT
+from test_model import BAD_DESCENT, NUMPY_DESCENT
 
 
 class TestAeError:
@@ -104,6 +104,10 @@ class TestTraining:
         for setting in BAD_DESCENT:
             with pytest.raises(ConfigError, match=f"^{next(iter(setting))} must be"):
                 AEConfig(**setting)
+
+    def test_takes_numpy_scalars(self, tiny_dataset, tiny_stats):
+        ae = train_autoencoder(tiny_dataset, AEConfig(**NUMPY_DESCENT), tiny_stats)
+        assert all(np.isfinite(ae_error(ae, tiny_stats, x)) for x in tiny_dataset.rows)
 
 
 class TestGradients:
