@@ -12,6 +12,10 @@ calls ``score_batch``; the logistic model patches two encodings, and the
 kNN model updates one distance vector per hybrid and re-sums exactly only
 the rows near its k-th distance.
 
+The logistic model has one row scorer over a matrix of encoded rows, one
+stacked BLAS call per batch, through which ``score``, ``score_batch`` and its
+swap state all go: every row's score has the bits of that row scored alone.
+
 Built-in models operate on the numeric encoding of the training statistics.
 External models receive raw feature values over a line-oriented JSON
 protocol, either through a long-lived subprocess or an HTTP endpoint:
@@ -49,6 +53,7 @@ from .tabular import (
     HybridSwaps,
     Instance,
     _OUT_OF_RANGE,
+    _aligned_rows,
     _check_descent,
     _encode_training_rows,
     _plan,
@@ -104,20 +109,26 @@ class LogisticHandle(ClassifierHandle):
         self.intercept = float(intercept)
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in swap_state; see _score_vector
-            scores = (self._score_vector(encode(self.stats, x)) for x in xs)
-            return np.fromiter(scores, np.float64, len(xs))
+        rows = _aligned_rows(len(xs), len(self.coef))
+        for row, x in zip(rows, xs):
+            row[:] = encode(self.stats, x)
+        return np.array(self._score_rows(rows), dtype=np.float64)
 
     def swap_state(self, current: Instance, target: Instance) -> EncodedSwaps:
         """Exact fast path: two encodings for the whole search, patched per feature."""
-        return EncodedSwaps(self.stats, current, target, self._score_vector)
+        return EncodedSwaps(self.stats, current, target, self._score_rows)
 
-    def _score_vector(self, v: np.ndarray) -> float:
-        # One dot product per encoded row, never one matrix product over a
-        # batch: keeps every score bit-identical to the single-instance score
-        # regardless of BLAS kernel selection. Callers silence numpy's overflow and
-        # invalid-value warnings once per call; _sigmoid raises for the NaN.
-        return _sigmoid(float(np.dot(v, self.coef)) + self.intercept)
+    def _score_rows(self, rows: np.ndarray) -> list[float]:
+        """The score of each row of an :func:`_aligned_rows` matrix of encodings.
+
+        One stacked ``matmul`` by the coefficients, which numpy hands row by
+        row to the BLAS dot product of ``np.dot(row, coef)``: each score has
+        the bits of its row alone. Overflow gives inf without a warning;
+        ``_sigmoid`` raises for the NaN of inf - inf.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.matmul(rows[:, None, :], self.coef[:, None])[:, 0, 0]
+        return [_sigmoid(zi + self.intercept) for zi in z.tolist()]
 
 
 def _sigmoid(z: float) -> float:

@@ -7,6 +7,11 @@ descent. The reconstruction error of an instance, the mean squared
 difference between its encoding and the reconstruction, is low near the
 training manifold and grows for implausible inputs.
 
+The autoencoder has one row scorer, ``_row_errors``, over a matrix of
+encoded rows: each layer is one stacked ``matmul``, so a greedy iteration's
+candidates cost one call, and every row's error has the bits of that row
+scored alone. :func:`ae_error` and the scorer's swap state both go through it.
+
 Any callable mapping an instance to a non-negative float can stand in for
 the autoencoder wherever a plausibility scorer is accepted. A scorer may also
 have a ``swap_state(current, target)`` method, an exact fast path for the
@@ -19,6 +24,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +39,7 @@ from .tabular import (
     FeatureStats,
     HybridSwaps,
     Instance,
+    _aligned_rows,
     _check_descent,
     _encode_training_rows,
     _plan,
@@ -48,12 +55,21 @@ PlausibilityScorer = Callable[[Instance], float]
 
 @dataclass(frozen=True)
 class AEConfig:
+    """Settings of :func:`train_autoencoder`.
+
+    ``epochs`` and ``step`` are checked as for any gradient-descent fit;
+    ``seed`` must be an integer (an int or a NumPy integer, not a bool).
+    Anything else raises :class:`ConfigError`.
+    """
+
     epochs: int = 200
     step: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         _check_descent(self.epochs, self.step)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 class AEModel:
@@ -87,11 +103,6 @@ class AEModel:
     @property
     def width(self) -> int:
         return self.w1.shape[0]
-
-    def reconstruct(self, v: np.ndarray) -> np.ndarray:
-        """Map one encoded vector through the network."""
-        hidden = expit(v @ self.w1 + self.b1)
-        return hidden @ self.w2 + self.b2
 
 
 def loss_and_gradients(
@@ -138,7 +149,7 @@ def train_autoencoder(
         log.warning("all training rows encode identically; autoencoder will be degenerate")
     m = X.shape[1]
     h = math.ceil(m / 2)
-    rng = SplitMix64(config.seed)
+    rng = SplitMix64(int(config.seed))  # a NumPy integer overflows against the 64-bit mask
 
     def draw(shape: tuple[int, ...]) -> np.ndarray:
         flat = np.asarray([rng.uniform(-0.1, 0.1) for _ in range(int(np.prod(shape)))])
@@ -166,23 +177,34 @@ def ae_error(ae: AEModel, stats: Sequence[FeatureStats], x: Instance) -> float:
     encodes a value far outside a tiny training range as a huge number, or
     as ``inf``, which the network can turn into NaN.
     """
-    v = encode(stats, x)
+    # A one-row matrix of a fresh vector: its one row is aligned.
+    return _row_errors(ae, encode(stats, x)[None, :])[0]
+
+
+def _row_errors(ae: AEModel, rows: np.ndarray) -> list[float]:
+    """:func:`ae_error` of each row of an :func:`_aligned_rows` matrix of encodings.
+
+    Each layer is one stacked ``matmul`` into an :func:`_aligned_rows`
+    buffer, which numpy hands row by row to the BLAS product of a single
+    row's ``v @ w1``, and the squared error one stacked row-by-row dot
+    product: each error has the bits of its row alone.
+    """
+    n, width = rows.shape
+    if width != ae.width:
+        raise ConfigError(f"statistics encode to width {width}, autoencoder expects {ae.width}")
+    hidden = _aligned_rows(n, ae.w1.shape[1])
+    diff = _aligned_rows(n, width)
+    hidden_3d, diff_3d = hidden[:, None, :], diff[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _vector_error(ae, v)
-
-
-def _vector_error(ae: AEModel, v: np.ndarray) -> float:
-    # One encoded vector at a time, never one matrix product over a batch:
-    # rows of X @ w1 differ from x @ w1 in the last bits. Callers silence
-    # overflow and invalid values once per call, not once per vector.
-    if v.shape[0] != ae.width:
-        raise ConfigError(
-            f"statistics encode to width {v.shape[0]}, autoencoder expects {ae.width}"
-        )
-    diff = ae.reconstruct(v) - v
-    error = float(np.dot(diff, diff)) / ae.width
+        np.matmul(rows[:, None, :], ae.w1, out=hidden_3d)
+        hidden += ae.b1
+        expit(hidden, out=hidden)
+        np.matmul(hidden_3d, ae.w2, out=diff_3d)
+        diff += ae.b2
+        diff -= rows
+        squares = np.matmul(diff_3d, diff[:, :, None]).ravel().tolist()
     # NaN comes only from infinite entries (inf - inf, inf * 0): the true error overflows.
-    return math.inf if math.isnan(error) else error
+    return [math.inf if math.isnan(s) else s / width for s in squares]
 
 
 class AEScorer:
@@ -197,7 +219,7 @@ class AEScorer:
 
     def swap_state(self, current: Instance, target: Instance) -> EncodedSwaps:
         """Exact fast path: two encodings for the whole search, patched per feature."""
-        return EncodedSwaps(self.stats, current, target, functools.partial(_vector_error, self.ae))
+        return EncodedSwaps(self.stats, current, target, functools.partial(_row_errors, self.ae))
 
 
 def ae_scorer(ae: AEModel, stats: Sequence[FeatureStats]) -> AEScorer:

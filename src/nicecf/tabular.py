@@ -527,31 +527,46 @@ class HybridSwaps:
         self.current[j] = self.target[j]
 
 
+def _aligned_rows(n: int, width: int) -> np.ndarray:
+    """An uninitialised (n, width) float64 matrix whose every row starts 16-byte aligned.
+
+    Its row stride is an even number of floats, so each row starts on the
+    16-byte boundary a freshly allocated vector starts on. A stacked
+    ``np.matmul`` hands each row to the BLAS kernel that the row alone would
+    get, and some kernels (OpenBLAS's Prescott ``gemv``) give other last bits
+    for a row off that boundary. So every matrix a row scorer reads or writes
+    is made here.
+    """
+    return np.empty((n, width + width % 2), dtype=np.float64)[:, :width]
+
+
 class EncodedSwaps:
     """A greedy search's swap state over two encodings, made once for the whole search.
 
     ``base`` is ``encode(current)`` and ``donor`` is ``encode(target)``.
-    ``scores(features)`` applies ``score_vector`` to one row per j: a copy
-    of ``base`` with feature j's slots taken from ``donor``. Since
-    :func:`encode` fills each feature's slots from that feature's value
-    alone, that row is bit for bit the encoding of the hybrid, and ``take(j)``,
-    which copies j's slots into ``base``, keeps ``base`` equal to the
-    encoding of the search's current row. A score that overflows is ``inf``,
-    without a warning. One state serves one search.
+    ``scores(features)`` builds one row per j, a copy of ``base`` with
+    feature j's slots taken from ``donor``, in one :func:`_aligned_rows`
+    matrix, and returns ``score_rows`` of that matrix: one call per
+    iteration, however many candidates it has. Since :func:`encode` fills
+    each feature's slots from that feature's value alone, each row is bit
+    for bit the encoding of its hybrid, and ``take(j)``, which copies j's
+    slots into ``base``, keeps ``base`` equal to the encoding of the
+    search's current row. One state serves one search.
     """
 
     def __init__(self, stats: Sequence[FeatureStats], current: Instance, target: Instance,
-                 score_vector):
+                 score_rows):
         self._plan = _plan(stats)
         self.base = encode(self._plan, current)
         self.donor = encode(self._plan, target)
-        self._score_vector = score_vector
+        self._score_rows = score_rows
 
     def scores(self, features: Sequence[int]) -> list:
         take = self._plan.owner[None, :] == np.asarray(features, dtype=np.intp)[:, None]
-        # Overflow gives inf; the score functions handle the NaN of inf - inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [self._score_vector(v) for v in np.where(take, self.donor, self.base)]
+        rows = _aligned_rows(*take.shape)
+        np.copyto(rows, self.base)
+        np.copyto(rows, self.donor, where=take)
+        return self._score_rows(rows)
 
     def take(self, j: int) -> None:
         slots = self._plan.slots[j]

@@ -109,6 +109,21 @@ class TestTraining:
         ae = train_autoencoder(tiny_dataset, AEConfig(**NUMPY_DESCENT), tiny_stats)
         assert all(np.isfinite(ae_error(ae, tiny_stats, x)) for x in tiny_dataset.rows)
 
+    @pytest.mark.parametrize("seed", [1.5, True, np.True_, "3", None, np.float64(3.0)])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            AEConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed, numpy_seed", [
+        (3, np.int64(3)), (-3, np.int64(-3)), (2**64 - 1, np.uint64(2**64 - 1)),
+    ])
+    def test_numpy_integer_seed_gives_the_same_weights(self, tiny_dataset, tiny_stats,
+                                                        seed, numpy_seed):
+        plain = train_autoencoder(tiny_dataset, AEConfig(epochs=2, seed=seed), tiny_stats)
+        got = train_autoencoder(tiny_dataset, AEConfig(epochs=2, seed=numpy_seed), tiny_stats)
+        for a, b in zip((got.w1, got.b1, got.w2, got.b2), (plain.w1, plain.b1, plain.w2, plain.b2)):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestGradients:
     def test_matches_central_differences(self):

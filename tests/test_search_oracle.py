@@ -5,22 +5,33 @@ unlike neighbour by a loop of :func:`heom` over the training rows, with the
 correctness filter and ties to the first row; every single-feature hybrid
 scored with its own ``model.score`` call in every iteration; the three
 reward formulas written out; a NaN reward below every number and ties to
-the smallest feature index. nice-none, nice-spars, nice-prox, nice-plaus and
-sedc must give the same counterfactual, validity, anchor row and trace under
-every kind of model: logistic, kNN, and a handle that implements only
-``score_batch``; nice-plaus under a plain callable scorer and under the
+the smallest feature index. wit's row is the first nearest row predicted as
+the other class by a scalar per-std distance summed in schema order; cbr's
+pair is the first of a brute-force search over every pair of training rows.
+All seven explainers (nice-none, nice-spars, nice-prox, nice-plaus, sedc,
+wit and cbr) must give the same counterfactual, validity, anchor row and
+trace under every kind of model: logistic, kNN, and a handle that implements
+only ``score_batch``; nice-plaus under a plain callable scorer and under the
 autoencoder's. Each model's explainers run one after another on one context
 and one source tuple, so every one after the first starts from the record of
 the source that the first made, and the anchor the first nice-* search found.
 """
 
+import itertools
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicecf.distance import heom
-from nicecf.explainers import RewardKind, SearchContext, explain_nice, explain_sedc
+from nicecf.explainers import (
+    RewardKind,
+    SearchContext,
+    explain_cbr,
+    explain_nice,
+    explain_sedc,
+    explain_wit,
+)
 from nicecf.model import train_knn_classifier, train_logistic
 from nicecf.plausibility import AEConfig, ae_scorer, train_autoencoder
 from nicecf.tabular import Dataset, FeatureKind, fit_stats
@@ -100,6 +111,59 @@ def reference(x0, kind, model, scorer, table, stats, weights):
     return counterfactual, valid, anchor, trace
 
 
+def reference_wit(x0, model, table, stats, weights):
+    """(counterfactual, valid, anchor index) of wit.
+
+    The first nearest training row predicted as the other class, with no
+    correctness filter, by HEOM with numbers scaled by their std (a zero std
+    gives the 0/1 overlap), summed one feature at a time in schema order.
+    """
+    c0 = predicted(model.score(x0))
+    weights = weights or [1.0] * len(stats)
+    best = best_d = None
+    for i, row in enumerate(table.rows):
+        if predicted(model.score(row)) == c0:
+            continue
+        d = 0.0
+        for stat, w, a, b in zip(stats, weights, x0, row):
+            if stat.kind is FeatureKind.CATEGORICAL or stat.std == 0.0:
+                d += w * (0.0 if a == b else 1.0)
+            else:
+                d += w * (abs(float(a) - float(b)) / stat.std)
+        if best is None or d < best_d:
+            best, best_d = i, d
+    if best is None:
+        return tuple(x0), False, None
+    return table.rows[best], True, best
+
+
+def reference_cbr(x0, model, table, stats, weights):
+    """(counterfactual, valid) of cbr, by a search over every pair of training rows.
+
+    A pair is two rows predicted as different classes that differ in one or
+    two features. The pair whose member predicted as the source's class is
+    nearest to the source by :func:`heom` wins, ties to the first pair by
+    (lower row, higher row); its other member's differing values are copied
+    into the source.
+    """
+    c0 = predicted(model.score(x0))
+    preds = [predicted(model.score(row)) for row in table.rows]
+    best = best_d = None
+    for a, b in itertools.combinations(range(len(table)), 2):
+        differing = sum(u != v for u, v in zip(table.rows[a], table.rows[b]))
+        if preds[a] == preds[b] or not 1 <= differing <= 2:
+            continue
+        same, other = (a, b) if preds[a] == c0 else (b, a)
+        d = heom(stats, x0, table.rows[same], weights)
+        if best is None or d < best_d:
+            best, best_d = (same, other), d
+    if best is None:
+        return tuple(x0), False
+    same_row, other_row = (table.rows[i] for i in best)
+    counterfactual = tuple(o if s != o else v for v, s, o in zip(x0, same_row, other_row))
+    return counterfactual, predicted(model.score(counterfactual)) != c0
+
+
 def hex_trace(trace):
     return [(j, float(r).hex(), float(s).hex()) for j, r, s in trace]
 
@@ -149,3 +213,9 @@ def test_greedy_explainers_match_the_reference(problem):
                 x0, kind, model, ctx.scorer, table, stats, weights)
             assert (got.counterfactual, got.valid, got.anchor_index) == (counterfactual, valid, anchor)
             assert hex_trace((s.feature, s.reward, s.score) for s in got.trace) == hex_trace(trace)
+        got = explain_wit(x0, ctx)
+        assert (got.counterfactual, got.valid, got.anchor_index, got.trace) == (
+            *reference_wit(x0, model, table, stats, weights), ())
+        got = explain_cbr(x0, ctx)
+        assert (got.counterfactual, got.valid, got.anchor_index, got.trace) == (
+            *reference_cbr(x0, model, table, stats, weights), None, ())

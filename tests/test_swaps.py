@@ -2,9 +2,11 @@
 
 The greedy search scores ``current`` with feature j taken from ``target``,
 for every j left, through one swap state per search. The logistic model and
-the autoencoder scorer answer from two encodings patched per feature; these
+the autoencoder scorer answer from two encodings patched per feature, and
+score all of an iteration's rows in one call to their row scorer; these
 tests hold them to the per-hybrid path and to a one-vector reference, in
-float hex, and the encodings to a reference encoder. The kNN model answers
+float hex, the row scorers to that reference on every row of a batch, and
+the encodings to a reference encoder. The kNN model answers
 from distances updated per feature and re-summed near the k-th; it is held
 to ``score_batch`` and to a brute-force vote, in float hex.
 """
@@ -21,14 +23,30 @@ from scipy.special import expit
 import nicecf.tabular
 from nicecf.distance import heom_feature, heom_to_rows
 from nicecf.explainers import RewardKind, SearchContext, explain_nice, explain_sedc
-from nicecf.model import ClassifierHandle, _KnnSwaps, train_knn_classifier, train_logistic
-from nicecf.plausibility import AEConfig, ae_error, ae_scorer, swap_state, train_autoencoder
+from nicecf.errors import ConfigError, EncodeError
+from nicecf.model import (
+    ClassifierHandle,
+    LogisticHandle,
+    _KnnSwaps,
+    train_knn_classifier,
+    train_logistic,
+)
+from nicecf.plausibility import (
+    AEConfig,
+    AEModel,
+    _row_errors,
+    ae_error,
+    ae_scorer,
+    swap_state,
+    train_autoencoder,
+)
 from nicecf.synthetic import make_dataset
 from nicecf.tabular import (
     Dataset,
     EncodedSwaps,
     FeatureKind,
     FeatureSpec,
+    _aligned_rows,
     _EncodingPlan,
     encode,
     encode_batch,
@@ -94,27 +112,40 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-def logistic_reference(model, x):
-    """One dot product of one fresh encoding, then the logistic function.
+def logistic_row_reference(model, v):
+    """The score of one fresh copy of an encoded row: one dot product, then the logistic function.
 
-    An overflow gives inf without a warning, as in the model.
+    An overflow gives inf without a warning, as in the model; NaN stays NaN,
+    where the model refuses to score the row.
     """
-    with np.errstate(over="ignore"):
-        z = float(np.dot(encode(model.stats, x), model.coef)) + model.intercept
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = float(np.dot(np.array(v), model.coef)) + model.intercept
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
     return math.exp(z) / (1.0 + math.exp(z))
 
 
-def ae_reference(ae, stats, x):
-    """Reconstruction error of one fresh encoding, one vector-matrix product per layer.
+def logistic_reference(model, x):
+    """:func:`logistic_row_reference` of one fresh encoding."""
+    return logistic_row_reference(model, encode(model.stats, x))
 
-    An overflow gives inf without a warning, as in the scorer.
+
+def ae_row_reference(ae, v):
+    """Reconstruction error of one fresh copy of an encoded row: one vector-matrix product a layer.
+
+    An overflow gives inf without a warning, as in the scorer, and so does
+    the NaN of infinite entries.
     """
-    v = encode(stats, x)
-    with np.errstate(over="ignore"):
+    v = np.array(v)
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = (expit(v @ ae.w1 + ae.b1) @ ae.w2 + ae.b2) - v
-        return float(np.dot(diff, diff)) / ae.width
+        error = float(np.dot(diff, diff)) / ae.width
+    return math.inf if math.isnan(error) else error
+
+
+def ae_reference(ae, stats, x):
+    """:func:`ae_row_reference` of one fresh encoding."""
+    return ae_row_reference(ae, encode(stats, x))
 
 
 def scored_swaps(scorer, current, target, features):
@@ -273,6 +304,70 @@ class TestAeSwaps:
         scores = scored_swaps(scorer, current, target, features)
         assert seen == swap_hybrids(current, target, features)
         assert hexes(scores) == hexes(scored_swaps(ae_scorer(ae, stats), current, target, features))
+
+
+# Entries that overwrite some of a batch's generic numbers: huge, infinite and zero.
+SPECIAL_VALUES = (0.0, 1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf)
+
+
+@st.composite
+def row_batches(draw):
+    """Statistics over numbers that encode as themselves, a logistic model, an AE and rows.
+
+    Widths and hidden widths are odd and even; a batch holds 0, 1 or many
+    rows. Weights and rows are generic numbers from a seeded generator, whose
+    products round in their last bits, and some row entries are then set to
+    :data:`SPECIAL_VALUES`.
+    """
+    width = draw(st.integers(1, 7))
+    hidden = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.sampled_from((0, 1)), st.integers(2, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Columns of 0 and 1: min 0 and range 1, so (v - 0.0) / 1.0 encodes v as v.
+    schema = [FeatureSpec(f"f{j}", FeatureKind.NUMERICAL) for j in range(width)]
+    stats = fit_stats(Dataset(schema, [(0.0,) * width, (1.0,) * width]))
+    model = LogisticHandle(stats, rng.normal(size=width), rng.normal())
+    ae = AEModel(rng.normal(size=(width, hidden)), rng.normal(size=hidden),
+                 rng.normal(size=(hidden, width)), rng.normal(size=width))
+    rows = rng.normal(scale=10.0, size=(n, width))
+    if n:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1),
+                          st.sampled_from(SPECIAL_VALUES))
+        for i, j, value in draw(st.lists(cells, max_size=3)):
+            rows[i, j] = value
+    return stats, model, ae, rows
+
+
+class TestRowScorers:
+    """Each built-in row scorer scores every row of a stacked batch as that row alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_batches())
+    def test_every_row_matches_the_reference(self, problem):
+        stats, model, ae, rows = problem
+        batch = _aligned_rows(*rows.shape)
+        batch[:] = rows
+        expected = [logistic_row_reference(model, v) for v in rows]
+        errors = hexes(ae_row_reference(ae, v) for v in rows)
+        assert hexes(_row_errors(ae, batch)) == errors
+        if any(math.isnan(p) for p in expected):
+            with pytest.raises(EncodeError):
+                model._score_rows(batch)
+        else:
+            assert hexes(model._score_rows(batch)) == hexes(expected)
+        # A finite row is an instance that encodes as itself: scored alone it
+        # has the bits it has at its place in the batch, odd places included.
+        finite = [i for i, v in enumerate(rows) if np.isfinite(v).all()]
+        xs = [tuple(rows[i].tolist()) for i in finite]
+        assert [errors[i] for i in finite] == hexes(ae_error(ae, stats, x) for x in xs)
+        if not any(math.isnan(expected[i]) for i in finite):
+            assert hexes(model.score_batch(xs)) == hexes(expected[i] for i in finite)
+            assert hexes(model.score(x) for x in xs) == hexes(expected[i] for i in finite)
+
+    def test_the_width_must_match_the_autoencoder(self):
+        ae = AEModel(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ConfigError, match="encode to width 4, autoencoder expects 3"):
+            _row_errors(ae, _aligned_rows(2, 4))
 
 
 class TestKnnSwaps:
