@@ -10,6 +10,16 @@ and default to 1.
 Vectorized scans against a dataset accumulate per-feature terms in schema
 order so their sums are bit-identical to the scalar path.
 
+Each explained source keeps one :class:`_TermStore` of the unweighted terms
+its scans compute, so its neighbour scan, the baselines' scans and the
+metrics of its counterfactuals compute each term once. The store is exact
+because HEOM is a sum of per-feature terms (Wilson and Martinez, JAIR 1997):
+a term is a pure function of (feature, scale, value) over one training set,
+every scan reads it for that key and multiplies it by the feature's weight
+as it is read, and every scan adds the terms one feature at a time in
+schema order. A value equal to the key's under ``==`` (``-0.0`` for ``0.0``,
+``1`` for ``1.0``) gives the same term bit for bit, so it may read it too.
+
 :func:`heom` and :func:`heom_to_rows` raise :class:`EncodeError` for an
 instance that breaks the row rule of the statistics' encoding plan (the
 training schema's, for :func:`fit_stats` output), a row of the wrong length
@@ -102,6 +112,7 @@ def _weighted_scan(
     xs: Sequence[Instance],
     dataset: Dataset,
     weights: Sequence[float],
+    store: "_TermStore | None" = None,
 ) -> np.ndarray:
     """Weighted L1 distances from each of ``xs`` to every row, shape (len(xs), rows).
 
@@ -112,7 +123,9 @@ def _weighted_scan(
     added to every instance holding it. The kNN warm-up, which scores every
     training row, is the main caller with many instances: a categorical
     feature has few distinct values there, so most of its terms are shared.
-    Arguments are not validated; callers pass checked weights.
+    With a ``store`` over ``dataset`` and ``stats``, the terms are read
+    from it, and one it lacks is added while it has room. Arguments are not
+    validated; callers pass checked instances and weights.
     """
     total = np.zeros((len(xs), len(dataset)), dtype=np.float64)
     rows = list(total)  # one view per instance; ``row += term`` writes into ``total``
@@ -123,28 +136,82 @@ def _weighted_scan(
             for row, x in zip(rows, xs):
                 holders.setdefault(x[j], []).append(row)
             for value, holding in holders.items():
-                term = _feature_terms(stat, scale, cols[j], value)
+                term = (_feature_terms(stat, scale, cols[j], value) if store is None
+                        else store.terms(j, scale, value))
                 weighted = term if wj == 1.0 else wj * term  # x * 1.0 == x, bit for bit
                 for row in holding:
                     row += weighted
     return total
 
 
-def _feature_terms(stat: FeatureStats, scale: float, column, value: "str | float") -> np.ndarray:
+def _feature_terms(
+    stat: FeatureStats, scale: float, column, value: "str | float", out: np.ndarray | None = None
+) -> np.ndarray:
     """One feature's unweighted distance terms from ``value`` to every entry of its column.
 
     ``column`` is the feature's entry of :meth:`Dataset.columns`. Categorical
     features, and numerical ones whose scale is zero, use the 0/1 overlap;
     other numbers give ``|value - column| / scale``. Every term is
     non-negative; one too large for a float is ``inf``, with a warning unless
-    the caller silences numpy's overflow.
+    the caller silences numpy's overflow. The terms are written into
+    ``out``, a float64 vector of the column's length, when one is given.
     """
     if stat.kind is FeatureKind.CATEGORICAL:
         codes, mapping = column
-        return (codes != mapping.get(value, -1)).astype(np.float64)
-    if scale == 0.0:
-        return (column != float(value)).astype(np.float64)
-    return np.abs(float(value) - column) / scale
+        differs = codes != mapping.get(value, -1)
+    elif scale == 0.0:
+        differs = column != float(value)
+    else:
+        terms = np.subtract(float(value), column, out=out)
+        np.abs(terms, out=terms)
+        return np.divide(terms, scale, out=terms)
+    if out is None:
+        return differs.astype(np.float64)
+    out[...] = differs
+    return out
+
+
+class _TermStore(dict):
+    """One source's unweighted :func:`_feature_terms` over ``train``, by (feature index, scale, value).
+
+    ``stats`` describe ``train``. A term is computed on first use into the
+    next free row of a buffer of two rows per feature, room for the terms of
+    the source and of one more instance (its anchor, say), and kept as a
+    read-only view. Once the buffer is full, further terms serve the scan at
+    hand only: a store that small stays in cache, and one holding every term
+    was measured to slow the search down more than it saved. The next
+    source's store takes over ``last``'s buffer, and ``last`` is emptied.
+    """
+
+    def __init__(self, train: Dataset, stats: Sequence[FeatureStats], last: "_TermStore | None" = None):
+        super().__init__()
+        self.train, self.stats = train, stats
+        self._ranges = [stat.range for stat in stats]
+        shape = (2 * len(stats), len(train))
+        rows = None if last is None else last._rows
+        if rows is None or rows.shape != shape:
+            rows = np.empty(shape, dtype=np.float64)
+        else:
+            last._rows = None
+            last.clear()
+        self._rows, self._used = rows, 0
+
+    def terms(self, j: int, scale: float, value: "str | float") -> np.ndarray:
+        """Feature ``j``'s terms from ``value``; call with numpy's overflow silenced."""
+        key = (j, scale, value)
+        term = self.get(key)
+        if term is None:
+            args = (self.stats[j], scale, self.train.columns()[j], value)
+            if self._rows is None or self._used == len(self._rows):
+                return _feature_terms(*args)
+            term = self[key] = _feature_terms(*args, self._rows[self._used])
+            term.flags.writeable = False
+            self._used += 1
+        return term
+
+    def scan(self, x: Instance, weights: Sequence[float]) -> np.ndarray:
+        """:func:`heom_to_rows` of a checked ``x`` with checked ``weights``, through the store."""
+        return _weighted_scan(self.stats, self._ranges, [x], self.train, weights, self)[0]
 
 
 def k_smallest(d: np.ndarray, k: int) -> np.ndarray:
@@ -184,13 +251,16 @@ def nearest_unlike_neighbor(
     train_predictions: Sequence[int],
     predicted_class: int,
     weights: Sequence[float] | None = None,
+    _store: _TermStore | None = None,
 ) -> int:
     """Index of the nearest correctly-predicted training row of the other class.
 
     Candidate rows must both be predicted differently from ``predicted_class``
     and carry a ground-truth label equal to their own prediction; the nearest
     is the first of them in :func:`k_smallest` order. Raises
-    :class:`NoUnlikeNeighborError` when no row qualifies.
+    :class:`NoUnlikeNeighborError` when no row qualifies. ``_store`` is
+    private: a source record's store over ``train`` and ``stats``, for a
+    checked ``x`` and checked ``weights``, which the scan then reads.
     """
     if train.labels is None:
         raise DistanceError("training dataset has no labels")
@@ -203,5 +273,5 @@ def nearest_unlike_neighbor(
         raise NoUnlikeNeighborError(
             "no correctly-predicted training instance of the opposite class"
         )
-    d = heom_to_rows(stats, x, train, weights)
+    d = heom_to_rows(stats, x, train, weights) if _store is None else _store.scan(x, weights)
     return int(rows[k_smallest(d[rows], 1)[0]])

@@ -26,7 +26,7 @@ from scipy.special import gammaincinv
 
 from .distance import heom, heom_to_rows, k_smallest
 from .errors import ConfigError, EvalError
-from .explainers import Explanation, SearchContext
+from .explainers import Explanation, SearchContext, _last_record
 from .model import ClassifierHandle
 
 RANKABLE_METRICS = ("sparsity", "proximity", "ae_error", "knn5", "time_ms")
@@ -63,7 +63,9 @@ def compute_metrics(
     Proximity and the 5-nearest-neighbor distance use the unweighted
     mixed-type metric over all training rows (no class filter; fewer than 5
     rows use all of them). The reconstruction error comes from the context's
-    plausibility scorer, which must be present.
+    plausibility scorer, which must be present. When ``expl.source`` is the
+    very tuple of the thread's last source record, the neighbour scan reads
+    and fills that record's term store.
     """
     if not expl.valid:
         return MetricRecord(instance_id, expl.explainer_id, False, expl.elapsed_ms)
@@ -71,7 +73,11 @@ def compute_metrics(
         raise EvalError("computing the ae_error metric requires a scorer on the context")
     xc = expl.counterfactual
     proximity = heom(ctx.stats, expl.source, xc)
-    d = heom_to_rows(ctx.stats, xc, ctx.train)
+    record = _last_record(expl.source, ctx)
+    if record is None:
+        d = heom_to_rows(ctx.stats, xc, ctx.train)
+    else:  # heom above checked xc
+        d = record.store.scan(xc, (1.0,) * len(xc))
     nearest = d[k_smallest(d, min(5, len(d)))]
     return MetricRecord(
         instance_id=instance_id,

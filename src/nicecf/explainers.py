@@ -37,6 +37,9 @@ same model and the same weights starts from it, so running all seven
 explainers on a source checks it, scores it and scans for its neighbour once.
 The time of that score and scan still counts in the ``elapsed_ms`` of every
 explainer that uses them, so each reports its full cost whatever ran first.
+The record also holds the source's store of distance terms (see
+:mod:`nicecf.distance`), which its neighbour scan, ``wit``'s and ``cbr``'s
+scans, the kNN model's swap states and the metrics of its explanations share.
 """
 
 from __future__ import annotations
@@ -49,7 +52,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .distance import (
+# heom_to_rows is unused here but stays importable from this module:
+# bench/tracing.py rebinds nicecf.explainers.heom_to_rows by name.
+from .distance import (  # noqa: F401
+    _TermStore,
     _weighted_scan,
     check_weights,
     heom_feature,
@@ -116,8 +122,9 @@ class SearchContext:
     mean/mode instance is computed up front; the model-dependent state
     (training-set predictions, the case base of near-duplicate cross-class
     pairs) is computed lazily under a lock, so one context can serve many
-    threads. Each thread also keeps, unshared, the record of the last source
-    it explained.
+    threads, and again when ``model`` is no longer the object they were
+    computed with. Each thread also keeps, unshared, the record of the last
+    source it explained.
     """
 
     def __init__(
@@ -138,16 +145,17 @@ class SearchContext:
             s.mean if s.kind is FeatureKind.NUMERICAL else s.mode for s in self.stats
         )
         self._lock = threading.Lock()
-        self._train_predictions: np.ndarray | None = None
-        self._case_base: np.ndarray | None = None
+        self._train_predictions: tuple | None = None  # (model, its predictions)
+        self._case_base: tuple | None = None  # (the predictions, the base built from them)
         self._last_source = threading.local()
 
     def train_predictions(self) -> np.ndarray:
-        """Model predictions for every training row, cached after first use."""
+        """Model predictions for every training row, cached for the current model."""
         with self._lock:
-            if self._train_predictions is None:
-                self._train_predictions = self.model.predict_batch(self.train.rows)
-            return self._train_predictions
+            model = self.model
+            if self._train_predictions is None or self._train_predictions[0] is not model:
+                self._train_predictions = (model, model.predict_batch(self.train.rows))
+            return self._train_predictions[1]
 
     def mean_mode_instance(self) -> Instance:
         """The instance holding each feature's training mean (numeric) or mode."""
@@ -164,9 +172,9 @@ class SearchContext:
         """
         preds = self.train_predictions()
         with self._lock:
-            if self._case_base is None:
-                self._case_base = _build_case_base(self.train, self.stats, preds)
-            return self._case_base
+            if self._case_base is None or self._case_base[0] is not preds:
+                self._case_base = (preds, _build_case_base(self.train, self.stats, preds))
+            return self._case_base[1]
 
     def warm(self, include_case_base: bool = False) -> None:
         """Populate the lazy caches up front (before handing the context to threads)."""
@@ -261,15 +269,19 @@ class _Source:
     :meth:`nun` scans for its nearest unlike neighbour under ``weights`` on
     first use; ``nun_s`` is the seconds that scan took, None before it.
     An explainer that reuses the record adds these times to its own, so each
-    reports its full cost whichever explainer ran first.
+    reports its full cost whichever explainer ran first. ``store`` holds
+    the distance terms of every scan of the source over the context's
+    ``train`` and ``stats``, in the buffer of ``last``'s store, the record
+    it replaces.
     """
 
-    __slots__ = ("x0", "model", "weights", "p0", "c0", "score_s", "nun_s", "_nun")
+    __slots__ = ("x0", "model", "weights", "store", "p0", "c0", "score_s", "nun_s", "_nun")
 
-    def __init__(self, x0: Instance, model: ClassifierHandle, weights: Sequence[float]):
-        self.x0, self.model, self.weights = x0, model, weights
+    def __init__(self, x0: Instance, ctx: SearchContext, last: _Source | None):
+        self.x0, self.model, self.weights = x0, ctx.model, ctx.weights
+        self.store = _TermStore(ctx.train, ctx.stats, None if last is None else last.store)
         t0 = time.perf_counter()
-        self.p0 = model.score(x0)
+        self.p0 = self.model.score(x0)
         self.score_s = time.perf_counter() - t0
         self.c0 = _predicted(self.p0)
         self.nun_s: float | None = None
@@ -281,30 +293,43 @@ class _Source:
             t0 = time.perf_counter()
             try:
                 self._nun = nearest_unlike_neighbor(
-                    ctx.stats, self.x0, ctx.train, preds, self.c0, self.weights)
+                    ctx.stats, self.x0, ctx.train, preds, self.c0, self.weights, self.store)
             except NoUnlikeNeighborError:
                 self._nun = None
             self.nun_s = time.perf_counter() - t0
         return self._nun
 
 
-def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
-    """The start of every explainer: check ``x0``, start the clock, score ``x0`` once.
+def _last_record(x0: Instance, ctx: SearchContext) -> _Source | None:
+    """The thread's last record, when it was made for this very ``x0`` on the context as it is.
 
-    The thread's last record is reused when it was made for this very
-    ``x0``, a tuple, under the context's current model and weights; only a
-    tuple cannot have changed since. The clock then starts the record's
-    ``score_s`` back. Otherwise raises :class:`EncodeError` when ``x0``
-    breaks the row rule, and makes the thread's new record. Returns (start
-    time, record).
+    That is: ``x0`` is a tuple, which cannot have changed since, and the
+    context still holds the record's model, weights, training set and
+    statistics. Otherwise None.
     """
     last = getattr(ctx._last_source, "record", None)
     if (last is not None and last.x0 is x0 and type(x0) is tuple
-            and last.model is ctx.model and last.weights is ctx.weights):
-        return time.perf_counter() - last.score_s, last
+            and last.model is ctx.model and last.weights is ctx.weights
+            and last.store.train is ctx.train and last.store.stats is ctx.stats):
+        return last
+    return None
+
+
+def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
+    """The start of every explainer: check ``x0``, start the clock, score ``x0`` once.
+
+    The clock of a reused :func:`_last_record` starts its ``score_s`` back.
+    Otherwise raises :class:`EncodeError` when ``x0`` breaks the row rule,
+    and makes the thread's new record, dropping its last one. Returns
+    (start time, record).
+    """
+    reused = _last_record(x0, ctx)
+    if reused is not None:
+        return time.perf_counter() - reused.score_s, reused
     ctx.train.rule.check(x0)
     t0 = time.perf_counter()
-    record = ctx._last_source.record = _Source(x0, ctx.model, ctx.weights)
+    last = getattr(ctx._last_source, "record", None)
+    record = ctx._last_source.record = _Source(x0, ctx, last)
     return t0, record
 
 
@@ -335,33 +360,34 @@ def _explanation(
 
 
 def _greedy_toward(
-    x0: Instance,
-    p0: float,
+    source: _Source,
     target: Instance,
     kind: RewardKind,
     ctx: SearchContext,
 ) -> tuple[Instance, tuple[TraceStep, ...], bool]:
-    """Copy ``target`` values into ``x0`` one feature per iteration until the class flips.
+    """Copy ``target`` values into the source ``x0`` one feature per iteration until the class flips.
 
-    ``p0`` is the model's score of ``x0``. The search keeps one swap state
-    of the model (and one of the scorer for the plausibility reward) from
-    ``x0`` toward ``target``, and the ascending list of features still
-    differing from the target, whose proximity costs it computes once. Each
-    iteration scores one candidate per listed feature, in one ``scores``
+    The search keeps one swap state of the model (and one of the scorer for
+    the plausibility reward) from ``x0`` toward ``target``; a model with the
+    private hook ``_swap_state_from(current, target, store)`` builds it with
+    the source's term store. It also keeps the ascending list of features
+    still differing from the target, whose proximity costs it computes once.
+    Each iteration scores one candidate per listed feature, in one ``scores``
     call to each state, keeps the reward argmax (a NaN reward ranks below
     every number; ties go to the smallest feature index), ``take``s it and
     drops it from the list, until the class flips or the list is empty.
     Returns (counterfactual, trace, valid): ``x0`` with the traced features
     taken from ``target``, the steps, and whether the class flipped.
     """
-    c0 = _predicted(p0)
+    x0, p0, c0 = source.x0, source.p0, source.c0
     y_hat = 1 if c0 == 1 else -1
     remaining = [j for j in range(len(x0)) if x0[j] != target[j]]
     # A feature is copied at most once, so its step always runs from x0[j] to target[j].
     costs = {j: ctx.weights[j] * heom_feature(ctx.stats[j], x0[j], target[j])
              for j in remaining} if kind is RewardKind.PROXIMITY else {}
     p_prev = p0
-    model_state = ctx.model.swap_state(x0, target)
+    hook = getattr(ctx.model, "_swap_state_from", None)
+    model_state = ctx.model.swap_state(x0, target) if hook is None else hook(x0, target, source.store)
     ae_prev = scorer_state = None
     if kind is RewardKind.PLAUSIBILITY:
         ae_prev = ctx.scorer(x0)
@@ -410,15 +436,20 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     if kind is RewardKind.NONE:
         counterfactual, trace, valid = x_nn, (), True
     else:
-        counterfactual, trace, valid = _greedy_toward(x0, source.p0, x_nn, kind, ctx)
+        counterfactual, trace, valid = _greedy_toward(source, x_nn, kind, ctx)
     return _explanation(
         f"nice-{kind.value}", x0, counterfactual, valid, t0, trace, x_nn, nn_index
     )
 
 
-def _wit_distances(ctx: SearchContext, x0: Instance) -> np.ndarray:
-    """Distances used by the nearest-neighbor baseline: HEOM with per-std numeric scaling."""
-    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], [x0], ctx.train, ctx.weights)[0]
+def _wit_distances(ctx: SearchContext, x0: Instance, store: _TermStore | None = None) -> np.ndarray:
+    """Distances used by the nearest-neighbor baseline: HEOM with per-std numeric scaling.
+
+    A categorical feature's std is 0.0, as is its range, so with a ``store``
+    its terms are the range-scaled scans' own; numerical ones key on the std.
+    """
+    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], [x0], ctx.train,
+                          ctx.weights, store)[0]
 
 
 def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
@@ -432,7 +463,7 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     rows = np.flatnonzero(ctx.train_predictions() != source.c0)
     if len(rows) == 0:
         return _explanation("wit", x0, tuple(x0), False, t0)
-    index = int(rows[k_smallest(_wit_distances(ctx, x0)[rows], 1)[0]])
+    index = int(rows[k_smallest(_wit_distances(ctx, x0, source.store)[rows], 1)[0]])
     counterfactual = ctx.train.rows[index]
     return _explanation("wit", x0, counterfactual, True, t0, (), counterfactual, index)
 
@@ -450,7 +481,7 @@ def explain_sedc(x0: Instance, ctx: SearchContext) -> Explanation:
     """
     t0, source = _classify(x0, ctx)
     counterfactual, trace, valid = _greedy_toward(
-        x0, source.p0, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx
+        source, ctx.mean_mode_instance(), RewardKind.SPARSITY, ctx
     )
     return _explanation("sedc", x0, counterfactual, valid, t0, trace)
 
@@ -471,7 +502,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     base = ctx.case_base()
     if len(base) == 0:
         return _explanation("cbr", x0, tuple(x0), False, t0)
-    d = heom_to_rows(ctx.stats, x0, ctx.train, ctx.weights)
+    d = source.store.scan(x0, ctx.weights)
     pair = base[k_smallest(d[base[:, c0]], 1)[0]]
     same_row, other_row = ctx.train.rows[pair[c0]], ctx.train.rows[pair[1 - c0]]
     counterfactual = tuple(

@@ -208,9 +208,21 @@ class KnnHandle(ClassifierHandle):
         Falls back to the default when some distance the search can meet is
         not finite, or too large for :class:`_KnnSwaps`' error bound.
         """
+        return self._swap_state_from(current, target, None)
+
+    def _swap_state_from(self, current: Instance, target: Instance, store) -> _KnnSwaps | HybridSwaps:
+        """``swap_state``, copying its terms from a source's term ``store`` over this training set.
+
+        The greedy search's private hook. A ``store`` over another training
+        set is not read, and a subclass's own ``swap_state`` is called instead.
+        """
+        if type(self).swap_state is not KnnHandle.swap_state:
+            return self.swap_state(current, target)
         self.train.rule.check(current)
         self.train.rule.check(target)
-        cur, tgt = self._terms(current), self._terms(target)
+        if store is not None and store.train is not self.train:
+            store = None
+        cur, tgt = self._terms(current, store), self._terms(target, store)
         # Each term of a row the search reaches is current's or target's, so
         # no distance it meets exceeds ``reach``. The headroom keeps every sum
         # within the error bound of it finite; an inf term fails the test too.
@@ -235,12 +247,17 @@ class KnnHandle(ClassifierHandle):
         """The score of a row whose k nearest training rows are ``nearest``."""
         return float(self._labels[nearest].sum()) / self.k
 
-    def _terms(self, x: Instance) -> np.ndarray:
-        """(features, training rows) matrix of the distance terms of a checked row."""
+    def _terms(self, x: Instance, store=None) -> np.ndarray:
+        """(features, training rows) matrix of the distance terms of a checked row.
+
+        The rows are copied from ``store``, a term store over this training
+        set, when one is given: its terms for this handle's range scales.
+        """
         out = np.empty((len(self.stats), len(self.train)), dtype=np.float64)
         with np.errstate(over="ignore"):  # a term too large for a float is inf, as in score_batch
             for j, (stat, column) in enumerate(zip(self.stats, self.train.columns())):
-                out[j] = _feature_terms(stat, stat.range, column, x[j])
+                out[j] = (_feature_terms(stat, stat.range, column, x[j]) if store is None
+                          else store.terms(j, stat.range, x[j]))
         return out
 
 

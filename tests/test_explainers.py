@@ -458,6 +458,28 @@ def test_record_is_not_reused_for_a_mutated_list(quantized_dataset):
         x0[:] = b if tuple(x0) == a else a
 
 
+class Complement(ClassifierHandle):
+    """A model's scores turned around: ``1 - p``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def score_batch(self, xs):
+        return 1.0 - self.inner.score_batch(xs)
+
+
+def test_context_caches_follow_a_replaced_model(quantized_dataset):
+    # The training-set predictions and the case base were built for the first
+    # model; after it is replaced, the explainers that read them must see the new one.
+    train, sources, stats = held_out(quantized_dataset)
+    ctx = SearchContext(train, stats, train_logistic(stats, train), scorer=hash_scorer)
+    ctx.warm(include_case_base=True)
+    ctx.model = Complement(ctx.model)
+    x0 = quantized_dataset.rows[130]
+    for eid in ("nice-none", "wit", "cbr"):
+        assert outcome(ALL_EXPLAINERS[eid](x0, ctx)) == fresh(x0, eid, train, stats, ctx.model), eid
+
+
 class SlowSource(ClassifierHandle):
     """A model that takes at least ``seconds`` longer to score a row equal to ``x0``."""
 
