@@ -124,8 +124,8 @@ def _weighted_scan(
     training row, is the main caller with many instances: a categorical
     feature has few distinct values there, so most of its terms are shared.
     With a ``store`` over ``dataset`` and ``stats``, the terms are read
-    from it, and one it lacks is added while it has room. Arguments are not
-    validated; callers pass checked instances and weights.
+    from it, and one it lacks is added when the store keeps it. Arguments
+    are not validated; callers pass checked instances and weights.
     """
     total = np.zeros((len(xs), len(dataset)), dtype=np.float64)
     rows = list(total)  # one view per instance; ``row += term`` writes into ``total``
@@ -174,18 +174,22 @@ def _feature_terms(
 class _TermStore(dict):
     """One source's unweighted :func:`_feature_terms` over ``train``, by (feature index, scale, value).
 
-    ``stats`` describe ``train``. A term is computed on first use into the
-    next free row of a buffer of two rows per feature, room for the terms of
-    the source and of one more instance (its anchor, say), and kept as a
-    read-only view. Once the buffer is full, further terms serve the scan at
-    hand only: a store that small stays in cache, and one holding every term
-    was measured to slow the search down more than it saved. The next
-    source's store takes over ``last``'s buffer, and ``last`` is emptied.
+    ``stats`` describe ``train`` and ``x0`` is the source. Only the terms
+    under the range scale of the source's values and, once ``anchor`` is
+    set, of its anchor's values are kept: feature j's go to rows 2j and
+    2j + 1 of a buffer, as read-only views. Every other term (a std-scaled
+    one, or another instance's) serves the scan at hand only. A store that
+    small stays in cache, and one holding every term was measured to slow
+    the search down more than it saved. Which terms are kept does not
+    depend on the order of the scans. The next source's store takes over
+    ``last``'s buffer, and ``last`` is emptied.
     """
 
-    def __init__(self, train: Dataset, stats: Sequence[FeatureStats], last: "_TermStore | None" = None):
+    def __init__(self, train: Dataset, stats: Sequence[FeatureStats], x0: Instance,
+                 last: "_TermStore | None" = None):
         super().__init__()
-        self.train, self.stats = train, stats
+        self.train, self.stats, self.x0 = train, stats, x0
+        self.anchor: Instance | None = None
         self._ranges = [stat.range for stat in stats]
         shape = (2 * len(stats), len(train))
         rows = None if last is None else last._rows
@@ -194,7 +198,7 @@ class _TermStore(dict):
         else:
             last._rows = None
             last.clear()
-        self._rows, self._used = rows, 0
+        self._rows = rows
 
     def terms(self, j: int, scale: float, value: "str | float") -> np.ndarray:
         """Feature ``j``'s terms from ``value``; call with numpy's overflow silenced."""
@@ -202,11 +206,16 @@ class _TermStore(dict):
         term = self.get(key)
         if term is None:
             args = (self.stats[j], scale, self.train.columns()[j], value)
-            if self._rows is None or self._used == len(self._rows):
+            if self._rows is None or scale != self._ranges[j]:
                 return _feature_terms(*args)
-            term = self[key] = _feature_terms(*args, self._rows[self._used])
+            if value == self.x0[j]:
+                slot = 2 * j
+            elif self.anchor is not None and value == self.anchor[j]:
+                slot = 2 * j + 1
+            else:
+                return _feature_terms(*args)
+            term = self[key] = _feature_terms(*args, self._rows[slot])
             term.flags.writeable = False
-            self._used += 1
         return term
 
     def scan(self, x: Instance, weights: Sequence[float]) -> np.ndarray:

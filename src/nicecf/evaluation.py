@@ -65,7 +65,7 @@ def compute_metrics(
     rows use all of them). The reconstruction error comes from the context's
     plausibility scorer, which must be present. When ``expl.source`` is the
     very tuple of the thread's last source record, the neighbour scan reads
-    and fills that record's term store.
+    that record's term store, and adds the source's and anchor's terms it lacks.
     """
     if not expl.valid:
         return MetricRecord(instance_id, expl.explainer_id, False, expl.elapsed_ms)

@@ -270,16 +270,16 @@ class _Source:
     first use; ``nun_s`` is the seconds that scan took, None before it.
     An explainer that reuses the record adds these times to its own, so each
     reports its full cost whichever explainer ran first. ``store`` holds
-    the distance terms of every scan of the source over the context's
-    ``train`` and ``stats``, in the buffer of ``last``'s store, the record
-    it replaces.
+    the distance terms of the source's and, once :meth:`nun` has found it,
+    its neighbour's values over the context's ``train`` and ``stats``, in
+    the buffer of ``last``'s store, the record it replaces.
     """
 
     __slots__ = ("x0", "model", "weights", "store", "p0", "c0", "score_s", "nun_s", "_nun")
 
     def __init__(self, x0: Instance, ctx: SearchContext, last: _Source | None):
         self.x0, self.model, self.weights = x0, ctx.model, ctx.weights
-        self.store = _TermStore(ctx.train, ctx.stats, None if last is None else last.store)
+        self.store = _TermStore(ctx.train, ctx.stats, x0, None if last is None else last.store)
         t0 = time.perf_counter()
         self.p0 = self.model.score(x0)
         self.score_s = time.perf_counter() - t0
@@ -296,6 +296,8 @@ class _Source:
                     ctx.stats, self.x0, ctx.train, preds, self.c0, self.weights, self.store)
             except NoUnlikeNeighborError:
                 self._nun = None
+            else:
+                self.store.anchor = ctx.train.rows[self._nun]
             self.nun_s = time.perf_counter() - t0
         return self._nun
 
@@ -446,7 +448,8 @@ def _wit_distances(ctx: SearchContext, x0: Instance, store: _TermStore | None = 
     """Distances used by the nearest-neighbor baseline: HEOM with per-std numeric scaling.
 
     A categorical feature's std is 0.0, as is its range, so with a ``store``
-    its terms are the range-scaled scans' own; numerical ones key on the std.
+    its terms are the range-scaled scans' own; numerical ones key on the std,
+    and the store does not keep them.
     """
     return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], [x0], ctx.train,
                           ctx.weights, store)[0]

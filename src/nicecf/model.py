@@ -208,16 +208,21 @@ class KnnHandle(ClassifierHandle):
         Falls back to the default when some distance the search can meet is
         not finite, or too large for :class:`_KnnSwaps`' error bound.
         """
-        return self._swap_state_from(current, target, None)
+        return self._knn_swaps(current, target, None)
 
     def _swap_state_from(self, current: Instance, target: Instance, store) -> _KnnSwaps | HybridSwaps:
         """``swap_state``, copying its terms from a source's term ``store`` over this training set.
 
-        The greedy search's private hook. A ``store`` over another training
-        set is not read, and a subclass's own ``swap_state`` is called instead.
+        The greedy search's private hook. A subclass's own ``swap_state`` is
+        called instead, so an override that wraps ``super().swap_state`` is
+        still the one the search uses.
         """
         if type(self).swap_state is not KnnHandle.swap_state:
             return self.swap_state(current, target)
+        return self._knn_swaps(current, target, store)
+
+    def _knn_swaps(self, current: Instance, target: Instance, store) -> _KnnSwaps | HybridSwaps:
+        """The fast path's state; its terms come from ``store`` when it is over this training set."""
         self.train.rule.check(current)
         self.train.rule.check(target)
         if store is not None and store.train is not self.train:

@@ -6,7 +6,8 @@ reversed, each instance holding the same value in both), and every source
 is scanned with range and with std scales, and again as a twin whose values
 are equal but not identical (``0.0`` and ``-0.0``, ``2`` and ``2.0``). A
 second source's store takes over the first one's buffer, after which both
-must still scan right. Then the seven explainers and their metrics, run
+must still scan right, and a store keeps only its source's and anchor's
+range-scaled terms. Then the seven explainers and their metrics, run
 source after source on one context, must give what cold calls give.
 """
 
@@ -26,8 +27,8 @@ import nicecf.evaluation
 import nicecf.explainers
 from nicecf.distance import _TermStore, heom_to_rows
 from nicecf.evaluation import compute_metrics
-from nicecf.explainers import SearchContext
-from nicecf.model import train_knn_classifier, train_logistic
+from nicecf.explainers import RewardKind, SearchContext, explain_nice
+from nicecf.model import KnnHandle, train_knn_classifier, train_logistic
 from nicecf.tabular import Dataset, FeatureSpec, _plan, fit_stats
 from strategies import FEW_NUMBERS, INTS_OR_FLOATS, NUMBERS, WIDE_NUMBERS, mixed_tables
 from test_explainers import ALL_EXPLAINERS, hash_scorer, held_out
@@ -91,14 +92,24 @@ def test_scans_through_the_store_match_the_plain_scans(problem, order):
             got[i] = scans[i]()
         return tuple(got)
 
-    first = _TermStore(train, stats)
+    def kept_only_source_and_anchor(store, source, anchor):
+        return all(scale == stats[j].range and value in (source[j], anchor[j])
+                   for j, scale, value in store)
+
+    first = _TermStore(train, stats, x)
+    assert through(first, y) == expected(y)  # y is not yet the anchor, so its terms are not kept
+    first.anchor = y
     for v in (x, x_twin, y, x):
         assert through(first, v) == expected(v)
-    second = _TermStore(train, stats, first)  # takes over the first store's buffer
-    for v in (y_twin, x, y):
+    assert kept_only_source_and_anchor(first, x, y)
+    second = _TermStore(train, stats, y_twin, first)  # takes over the first store's buffer
+    for v in (y_twin, x):
+        assert through(second, v) == expected(v)
+    second.anchor = x_twin
+    for v in (x, y, y_twin):
         assert through(second, v) == expected(v)
     assert through(first, x) == expected(x)
-    assert len(second) <= 2 * len(stats)
+    assert kept_only_source_and_anchor(second, y, x) and len(second) <= 2 * len(stats)
 
 
 def bits(value):
@@ -201,3 +212,48 @@ def test_a_thread_keeps_only_its_last_sources_store(quantized_dataset):
     last = ctx._last_source.record.store
     assert [ref() for ref in stores if ref() is not None] == [last]
     assert 0 < len(last) <= 2 * len(ctx.stats)
+
+
+class WrappedKnn(KnnHandle):
+    """A kNN handle whose ``swap_state`` wraps ``super().swap_state`` and counts its calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner.stats, inner.train, inner.k)
+        self.swap_calls = 0
+
+    def swap_state(self, current, target):
+        self.swap_calls += 1
+        return super().swap_state(current, target)
+
+
+def test_an_override_that_wraps_super_swap_state_is_used_by_the_search(quantized_dataset):
+    ctx, sources = store_context(quantized_dataset, "knn3")
+    plain = ctx.model
+    wrapped = WrappedKnn(plain)
+    current, target = sources[0], sources[1]
+    features = range(len(current))
+    assert bits(wrapped.swap_state(current, target).scores(features)) == bits(
+        plain.swap_state(current, target).scores(features))
+    assert wrapped.swap_calls == 1
+    wrapped_ctx = SearchContext(ctx.train, ctx.stats, wrapped, scorer=hash_scorer)
+    for i, x0 in enumerate(sources[:6]):
+        expected = explain_nice(x0, RewardKind.SPARSITY, ctx)
+        expected = results(expected, compute_metrics(expected, ctx, i))
+        expl = explain_nice(x0, RewardKind.SPARSITY, wrapped_ctx)
+        assert results(expl, compute_metrics(expl, wrapped_ctx, i)) == expected
+    assert wrapped.swap_calls > 1  # the search asked the override for its states
+
+
+@pytest.mark.parametrize("first", [(), ("wit", "sedc", "cbr")])
+def test_a_store_keeps_the_source_and_anchor_terms_whatever_ran_first(quantized_dataset, first):
+    ctx, sources = store_context(quantized_dataset, "knn3")
+    ranges = [stat.range for stat in ctx.stats]
+    for i, x0 in enumerate(sources[:5]):
+        for eid in first:
+            compute_metrics(ALL_EXPLAINERS[eid](x0, ctx), ctx, i)
+        compute_metrics(explain_nice(x0, RewardKind.NONE, ctx), ctx, i)
+        record = ctx._last_source.record
+        anchor = ctx.train.rows[record.nun(ctx)]
+        assert record.store.anchor is anchor
+        kept = {(j, ranges[j], v) for x in (x0, anchor) for j, v in enumerate(x)}
+        assert set(record.store) == kept  # the kNN swap state read every one of them
