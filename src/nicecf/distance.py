@@ -10,15 +10,17 @@ and default to 1.
 Vectorized scans against a dataset accumulate per-feature terms in schema
 order so their sums are bit-identical to the scalar path.
 
-Each explained source keeps one :class:`_TermStore` of the unweighted terms
-its scans compute, so its neighbour scan, the baselines' scans and the
-metrics of its counterfactuals compute each term once. The store is exact
-because HEOM is a sum of per-feature terms (Wilson and Martinez, JAIR 1997):
-a term is a pure function of (feature, scale, value) over one training set,
-every scan reads it for that key and multiplies it by the feature's weight
-as it is read, and every scan adds the terms one feature at a time in
-schema order. A value equal to the key's under ``==`` (``-0.0`` for ``0.0``,
-``1`` for ``1.0``) gives the same term bit for bit, so it may read it too.
+Each explained source's record makes one :class:`_TermStore`, its thread's
+newest, which every scan of the very :class:`Dataset` it covers reads: the
+neighbour scan, the baselines', the kNN model's scores and swap states and
+the metrics of the source's counterfactuals, none of them handed anything.
+Any scan over that training set may read it because HEOM is a sum of
+per-feature terms (Wilson and Martinez, JAIR 1997): a term is a pure
+function of (training set, feature, scale, value), every scan reads it for
+that key and multiplies it by the feature's weight as it is read, and every
+scan adds the terms one feature at a time in schema order. A value equal to
+the key's under ``==`` (``-0.0`` for ``0.0``, ``1`` for ``1.0``) gives the
+same term bit for bit, so it may read it too.
 
 :func:`heom` and :func:`heom_to_rows` raise :class:`EncodeError` for an
 instance that breaks the row rule of the statistics' encoding plan (the
@@ -32,6 +34,9 @@ for a float is ``inf``, without a warning, on every path.
 from __future__ import annotations
 
 import math
+import numbers
+import threading
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -41,14 +46,14 @@ from .tabular import _OUT_OF_RANGE, Dataset, FeatureKind, FeatureStats, Instance
 
 
 def check_weights(stats: Sequence[FeatureStats], weights: Sequence[float] | None) -> tuple[float, ...]:
-    """Check one positive finite int or float (not a bool) per feature; None means all ones."""
+    """Check one positive finite ``numbers.Real`` (not a bool) per feature; None means all ones."""
     if weights is None:
         return (1.0,) * len(stats)
     if len(weights) != len(stats):
         raise DistanceError(f"{len(weights)} weights for {len(stats)} features")
     for stat, w in zip(stats, weights):
         try:
-            good = (not isinstance(w, bool) and isinstance(w, (int, float))
+            good = (not isinstance(w, bool) and isinstance(w, numbers.Real)
                     and 0.0 < float(w) < math.inf)
             got = repr(w)
         except OverflowError:
@@ -112,7 +117,6 @@ def _weighted_scan(
     xs: Sequence[Instance],
     dataset: Dataset,
     weights: Sequence[float],
-    store: "_TermStore | None" = None,
 ) -> np.ndarray:
     """Weighted L1 distances from each of ``xs`` to every row, shape (len(xs), rows).
 
@@ -123,10 +127,13 @@ def _weighted_scan(
     added to every instance holding it. The kNN warm-up, which scores every
     training row, is the main caller with many instances: a categorical
     feature has few distinct values there, so most of its terms are shared.
-    With a ``store`` over ``dataset`` and ``stats``, the terms are read
-    from it, and one it lacks is added when the store keeps it. Arguments
-    are not validated; callers pass checked instances and weights.
+    When the thread's newest :class:`_TermStore` covers ``dataset`` itself,
+    the terms are read from it, and one it lacks is added when the store
+    keeps it: a term depends on that training set and its key alone, so
+    every scan over it may share the store. Arguments are not validated;
+    callers pass checked instances and weights.
     """
+    store = _newest_store(dataset)
     total = np.zeros((len(xs), len(dataset)), dtype=np.float64)
     rows = list(total)  # one view per instance; ``row += term`` writes into ``total``
     cols = dataset.columns()
@@ -142,6 +149,18 @@ def _weighted_scan(
                 for row in holding:
                     row += weighted
     return total
+
+
+def _term_matrix(stats: Sequence[FeatureStats], x: Instance, dataset: Dataset) -> np.ndarray:
+    """(features, rows) matrix of a checked ``x``'s range-scaled terms, read as scans read them."""
+    store = _newest_store(dataset)
+    cols = dataset.columns()
+    out = np.empty((len(stats), len(dataset)), dtype=np.float64)
+    with np.errstate(over="ignore"):  # a term too large for a float is inf, as in a scan
+        for j, stat in enumerate(stats):
+            out[j] = (_feature_terms(stat, stat.range, cols[j], x[j]) if store is None
+                      else store.terms(j, stat.range, x[j]))
+    return out
 
 
 def _feature_terms(
@@ -171,34 +190,47 @@ def _feature_terms(
     return out
 
 
+# The thread's newest _TermStore, by weak reference: its source's record owns it.
+_newest = threading.local()
+
+
+def _newest_store(dataset: Dataset) -> "_TermStore | None":
+    """The thread's newest term store when it covers ``dataset`` itself, else None."""
+    ref = getattr(_newest, "store", None)
+    store = None if ref is None else ref()
+    return store if store is not None and store.train is dataset else None
+
+
 class _TermStore(dict):
     """One source's unweighted :func:`_feature_terms` over ``train``, by (feature index, scale, value).
 
-    ``stats`` describe ``train`` and ``x0`` is the source. Only the terms
-    under the range scale of the source's values and, once ``anchor`` is
-    set, of its anchor's values are kept: feature j's go to rows 2j and
-    2j + 1 of a buffer, as read-only views. Every other term (a std-scaled
-    one, or another instance's) serves the scan at hand only. A store that
-    small stays in cache, and one holding every term was measured to slow
-    the search down more than it saved. Which terms are kept does not
-    depend on the order of the scans. The next source's store takes over
-    ``last``'s buffer, and ``last`` is emptied.
+    ``stats`` describe ``train`` and ``x0`` is the source. A new store
+    registers itself as its thread's newest, which :func:`_weighted_scan`
+    and :func:`_term_matrix` read in any scan over ``train`` itself; when
+    the newest before it covers ``train`` too, it takes over that store's
+    buffer and empties it. The registry holds a store by weak reference, so
+    the record that made it decides how long it lives. Only the
+    range-scaled terms of the source's values and, once ``anchor`` is set,
+    of its anchor's values are kept: feature j's go to rows 2j and 2j + 1
+    of the buffer, as read-only views. Every other term (a std-scaled one,
+    or another instance's) serves the scan at hand only. A store that small
+    stays in cache, and one holding every term was measured to slow the
+    search down more than it saved. Which terms are kept does not depend on
+    the order of the scans.
     """
 
-    def __init__(self, train: Dataset, stats: Sequence[FeatureStats], x0: Instance,
-                 last: "_TermStore | None" = None):
+    def __init__(self, train: Dataset, stats: Sequence[FeatureStats], x0: Instance):
         super().__init__()
         self.train, self.stats, self.x0 = train, stats, x0
         self.anchor: Instance | None = None
         self._ranges = [stat.range for stat in stats]
-        shape = (2 * len(stats), len(train))
-        rows = None if last is None else last._rows
-        if rows is None or rows.shape != shape:
-            rows = np.empty(shape, dtype=np.float64)
-        else:
-            last._rows = None
+        last = _newest_store(train)
+        if last is None:
+            self._rows = np.empty((2 * len(stats), len(train)))
+        else:  # stats describe train, so the shape is the same
+            self._rows, last._rows = last._rows, None
             last.clear()
-        self._rows = rows
+        _newest.store = weakref.ref(self)
 
     def terms(self, j: int, scale: float, value: "str | float") -> np.ndarray:
         """Feature ``j``'s terms from ``value``; call with numpy's overflow silenced."""
@@ -206,7 +238,7 @@ class _TermStore(dict):
         term = self.get(key)
         if term is None:
             args = (self.stats[j], scale, self.train.columns()[j], value)
-            if self._rows is None or scale != self._ranges[j]:
+            if scale != self._ranges[j]:
                 return _feature_terms(*args)
             if value == self.x0[j]:
                 slot = 2 * j
@@ -217,10 +249,6 @@ class _TermStore(dict):
             term = self[key] = _feature_terms(*args, self._rows[slot])
             term.flags.writeable = False
         return term
-
-    def scan(self, x: Instance, weights: Sequence[float]) -> np.ndarray:
-        """:func:`heom_to_rows` of a checked ``x`` with checked ``weights``, through the store."""
-        return _weighted_scan(self.stats, self._ranges, [x], self.train, weights, self)[0]
 
 
 def k_smallest(d: np.ndarray, k: int) -> np.ndarray:
@@ -260,16 +288,13 @@ def nearest_unlike_neighbor(
     train_predictions: Sequence[int],
     predicted_class: int,
     weights: Sequence[float] | None = None,
-    _store: _TermStore | None = None,
 ) -> int:
     """Index of the nearest correctly-predicted training row of the other class.
 
     Candidate rows must both be predicted differently from ``predicted_class``
     and carry a ground-truth label equal to their own prediction; the nearest
     is the first of them in :func:`k_smallest` order. Raises
-    :class:`NoUnlikeNeighborError` when no row qualifies. ``_store`` is
-    private: a source record's store over ``train`` and ``stats``, for a
-    checked ``x`` and checked ``weights``, which the scan then reads.
+    :class:`NoUnlikeNeighborError` when no row qualifies.
     """
     if train.labels is None:
         raise DistanceError("training dataset has no labels")
@@ -282,5 +307,5 @@ def nearest_unlike_neighbor(
         raise NoUnlikeNeighborError(
             "no correctly-predicted training instance of the opposite class"
         )
-    d = heom_to_rows(stats, x, train, weights) if _store is None else _store.scan(x, weights)
+    d = heom_to_rows(stats, x, train, weights)
     return int(rows[k_smallest(d[rows], 1)[0]])

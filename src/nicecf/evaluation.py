@@ -24,9 +24,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincinv
 
-from .distance import heom, heom_to_rows, k_smallest
+# heom_to_rows is unused here but stays importable from this module:
+# bench/tracing.py rebinds nicecf.evaluation.heom_to_rows by name.
+from .distance import _weighted_scan, heom, heom_to_rows, k_smallest  # noqa: F401
 from .errors import ConfigError, EvalError
-from .explainers import Explanation, SearchContext, _last_record
+from .explainers import Explanation, SearchContext
 from .model import ClassifierHandle
 
 RANKABLE_METRICS = ("sparsity", "proximity", "ae_error", "knn5", "time_ms")
@@ -63,9 +65,10 @@ def compute_metrics(
     Proximity and the 5-nearest-neighbor distance use the unweighted
     mixed-type metric over all training rows (no class filter; fewer than 5
     rows use all of them). The reconstruction error comes from the context's
-    plausibility scorer, which must be present. When ``expl.source`` is the
-    very tuple of the thread's last source record, the neighbour scan reads
-    that record's term store, and adds the source's and anchor's terms it lacks.
+    plausibility scorer, which must be present. The neighbour scan reads
+    the thread's newest term store when it covers ``ctx.train`` (see
+    :mod:`nicecf.distance`), so the terms of the source's and its anchor's
+    values, which most counterfactuals hold, are not computed again.
     """
     if not expl.valid:
         return MetricRecord(instance_id, expl.explainer_id, False, expl.elapsed_ms)
@@ -73,11 +76,9 @@ def compute_metrics(
         raise EvalError("computing the ae_error metric requires a scorer on the context")
     xc = expl.counterfactual
     proximity = heom(ctx.stats, expl.source, xc)
-    record = _last_record(expl.source, ctx)
-    if record is None:
-        d = heom_to_rows(ctx.stats, xc, ctx.train)
-    else:  # heom above checked xc
-        d = record.store.scan(xc, (1.0,) * len(xc))
+    # heom above checked xc, so this is heom_to_rows' scan without its checks.
+    ranges = [stat.range for stat in ctx.stats]
+    d = _weighted_scan(ctx.stats, ranges, [xc], ctx.train, (1.0,) * len(xc))[0]
     nearest = d[k_smallest(d, min(5, len(d)))]
     return MetricRecord(
         instance_id=instance_id,

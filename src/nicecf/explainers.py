@@ -37,9 +37,9 @@ same model and the same weights starts from it, so running all seven
 explainers on a source checks it, scores it and scans for its neighbour once.
 The time of that score and scan still counts in the ``elapsed_ms`` of every
 explainer that uses them, so each reports its full cost whatever ran first.
-The record also holds the source's store of distance terms (see
-:mod:`nicecf.distance`), which its neighbour scan, ``wit``'s and ``cbr``'s
-scans, the kNN model's swap states and the metrics of its explanations share.
+The record also owns the source's store of distance terms, which every
+scan over the training set reads while it is the thread's newest (see
+:mod:`nicecf.distance`).
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-# heom_to_rows is unused here but stays importable from this module:
-# bench/tracing.py rebinds nicecf.explainers.heom_to_rows by name.
-from .distance import (  # noqa: F401
+from .distance import (
     _TermStore,
     _weighted_scan,
     check_weights,
@@ -269,17 +267,18 @@ class _Source:
     :meth:`nun` scans for its nearest unlike neighbour under ``weights`` on
     first use; ``nun_s`` is the seconds that scan took, None before it.
     An explainer that reuses the record adds these times to its own, so each
-    reports its full cost whichever explainer ran first. ``store`` holds
+    reports its full cost whichever explainer ran first. ``store`` keeps
     the distance terms of the source's and, once :meth:`nun` has found it,
-    its neighbour's values over the context's ``train`` and ``stats``, in
-    the buffer of ``last``'s store, the record it replaces.
+    its neighbour's values over the context's ``train`` and ``stats``; it
+    is made, and so becomes the thread's newest, before the source is
+    scored, so a kNN model's score of the source fills it too.
     """
 
     __slots__ = ("x0", "model", "weights", "store", "p0", "c0", "score_s", "nun_s", "_nun")
 
-    def __init__(self, x0: Instance, ctx: SearchContext, last: _Source | None):
+    def __init__(self, x0: Instance, ctx: SearchContext):
         self.x0, self.model, self.weights = x0, ctx.model, ctx.weights
-        self.store = _TermStore(ctx.train, ctx.stats, x0, None if last is None else last.store)
+        self.store = _TermStore(ctx.train, ctx.stats, x0)
         t0 = time.perf_counter()
         self.p0 = self.model.score(x0)
         self.score_s = time.perf_counter() - t0
@@ -293,7 +292,7 @@ class _Source:
             t0 = time.perf_counter()
             try:
                 self._nun = nearest_unlike_neighbor(
-                    ctx.stats, self.x0, ctx.train, preds, self.c0, self.weights, self.store)
+                    ctx.stats, self.x0, ctx.train, preds, self.c0, self.weights)
             except NoUnlikeNeighborError:
                 self._nun = None
             else:
@@ -302,36 +301,24 @@ class _Source:
         return self._nun
 
 
-def _last_record(x0: Instance, ctx: SearchContext) -> _Source | None:
-    """The thread's last record, when it was made for this very ``x0`` on the context as it is.
+def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
+    """The start of every explainer: check ``x0``, start the clock, score ``x0`` once.
 
-    That is: ``x0`` is a tuple, which cannot have changed since, and the
-    context still holds the record's model, weights, training set and
-    statistics. Otherwise None.
+    The thread's last record is reused when it was made for this very
+    ``x0``, a tuple, which cannot have changed since, and the context still
+    holds its model, weights, training set and statistics; the clock then
+    starts its ``score_s`` back. Otherwise raises :class:`EncodeError` when
+    ``x0`` breaks the row rule, and makes the thread's new record, dropping
+    its last one. Returns (start time, record).
     """
     last = getattr(ctx._last_source, "record", None)
     if (last is not None and last.x0 is x0 and type(x0) is tuple
             and last.model is ctx.model and last.weights is ctx.weights
             and last.store.train is ctx.train and last.store.stats is ctx.stats):
-        return last
-    return None
-
-
-def _classify(x0: Instance, ctx: SearchContext) -> tuple[float, _Source]:
-    """The start of every explainer: check ``x0``, start the clock, score ``x0`` once.
-
-    The clock of a reused :func:`_last_record` starts its ``score_s`` back.
-    Otherwise raises :class:`EncodeError` when ``x0`` breaks the row rule,
-    and makes the thread's new record, dropping its last one. Returns
-    (start time, record).
-    """
-    reused = _last_record(x0, ctx)
-    if reused is not None:
-        return time.perf_counter() - reused.score_s, reused
+        return time.perf_counter() - last.score_s, last
     ctx.train.rule.check(x0)
     t0 = time.perf_counter()
-    last = getattr(ctx._last_source, "record", None)
-    record = ctx._last_source.record = _Source(x0, ctx, last)
+    record = ctx._last_source.record = _Source(x0, ctx)
     return t0, record
 
 
@@ -370,10 +357,9 @@ def _greedy_toward(
     """Copy ``target`` values into the source ``x0`` one feature per iteration until the class flips.
 
     The search keeps one swap state of the model (and one of the scorer for
-    the plausibility reward) from ``x0`` toward ``target``; a model with the
-    private hook ``_swap_state_from(current, target, store)`` builds it with
-    the source's term store. It also keeps the ascending list of features
-    still differing from the target, whose proximity costs it computes once.
+    the plausibility reward) from ``x0`` toward ``target``. It also keeps
+    the ascending list of features still differing from the target, whose
+    proximity costs it computes once.
     Each iteration scores one candidate per listed feature, in one ``scores``
     call to each state, keeps the reward argmax (a NaN reward ranks below
     every number; ties go to the smallest feature index), ``take``s it and
@@ -388,8 +374,7 @@ def _greedy_toward(
     costs = {j: ctx.weights[j] * heom_feature(ctx.stats[j], x0[j], target[j])
              for j in remaining} if kind is RewardKind.PROXIMITY else {}
     p_prev = p0
-    hook = getattr(ctx.model, "_swap_state_from", None)
-    model_state = ctx.model.swap_state(x0, target) if hook is None else hook(x0, target, source.store)
+    model_state = ctx.model.swap_state(x0, target)
     ae_prev = scorer_state = None
     if kind is RewardKind.PLAUSIBILITY:
         ae_prev = ctx.scorer(x0)
@@ -444,15 +429,14 @@ def explain_nice(x0: Instance, kind: RewardKind, ctx: SearchContext) -> Explanat
     )
 
 
-def _wit_distances(ctx: SearchContext, x0: Instance, store: _TermStore | None = None) -> np.ndarray:
+def _wit_distances(ctx: SearchContext, x0: Instance) -> np.ndarray:
     """Distances used by the nearest-neighbor baseline: HEOM with per-std numeric scaling.
 
-    A categorical feature's std is 0.0, as is its range, so with a ``store``
-    its terms are the range-scaled scans' own; numerical ones key on the std,
-    and the store does not keep them.
+    A categorical feature's std is 0.0, as is its range, so its terms are
+    the range-scaled scans' own, which the source's term store keeps;
+    numerical ones key on the std, and the store does not keep them.
     """
-    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], [x0], ctx.train,
-                          ctx.weights, store)[0]
+    return _weighted_scan(ctx.stats, [s.std for s in ctx.stats], [x0], ctx.train, ctx.weights)[0]
 
 
 def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
@@ -466,7 +450,7 @@ def explain_wit(x0: Instance, ctx: SearchContext) -> Explanation:
     rows = np.flatnonzero(ctx.train_predictions() != source.c0)
     if len(rows) == 0:
         return _explanation("wit", x0, tuple(x0), False, t0)
-    index = int(rows[k_smallest(_wit_distances(ctx, x0, source.store)[rows], 1)[0]])
+    index = int(rows[k_smallest(_wit_distances(ctx, x0)[rows], 1)[0]])
     counterfactual = ctx.train.rows[index]
     return _explanation("wit", x0, counterfactual, True, t0, (), counterfactual, index)
 
@@ -505,7 +489,7 @@ def explain_cbr(x0: Instance, ctx: SearchContext) -> Explanation:
     base = ctx.case_base()
     if len(base) == 0:
         return _explanation("cbr", x0, tuple(x0), False, t0)
-    d = source.store.scan(x0, ctx.weights)
+    d = heom_to_rows(ctx.stats, x0, ctx.train, ctx.weights)
     pair = base[k_smallest(d[base[:, c0]], 1)[0]]
     same_row, other_row = ctx.train.rows[pair[c0]], ctx.train.rows[pair[1 - c0]]
     counterfactual = tuple(

@@ -44,7 +44,7 @@ from scipy.special import expit
 
 # heom_to_rows is unused here but stays importable from this module:
 # bench/tracing.py rebinds nicecf.model.heom_to_rows by name.
-from .distance import _feature_terms, _weighted_scan, heom_to_rows, k_smallest  # noqa: F401
+from .distance import _term_matrix, _weighted_scan, heom_to_rows, k_smallest  # noqa: F401
 from .errors import ConfigError, EncodeError, ModelIOError, TrainError
 from .tabular import (
     Dataset,
@@ -208,26 +208,9 @@ class KnnHandle(ClassifierHandle):
         Falls back to the default when some distance the search can meet is
         not finite, or too large for :class:`_KnnSwaps`' error bound.
         """
-        return self._knn_swaps(current, target, None)
-
-    def _swap_state_from(self, current: Instance, target: Instance, store) -> _KnnSwaps | HybridSwaps:
-        """``swap_state``, copying its terms from a source's term ``store`` over this training set.
-
-        The greedy search's private hook. A subclass's own ``swap_state`` is
-        called instead, so an override that wraps ``super().swap_state`` is
-        still the one the search uses.
-        """
-        if type(self).swap_state is not KnnHandle.swap_state:
-            return self.swap_state(current, target)
-        return self._knn_swaps(current, target, store)
-
-    def _knn_swaps(self, current: Instance, target: Instance, store) -> _KnnSwaps | HybridSwaps:
-        """The fast path's state; its terms come from ``store`` when it is over this training set."""
         self.train.rule.check(current)
         self.train.rule.check(target)
-        if store is not None and store.train is not self.train:
-            store = None
-        cur, tgt = self._terms(current, store), self._terms(target, store)
+        cur, tgt = (_term_matrix(self.stats, x, self.train) for x in (current, target))
         # Each term of a row the search reaches is current's or target's, so
         # no distance it meets exceeds ``reach``. The headroom keeps every sum
         # within the error bound of it finite; an inf term fails the test too.
@@ -251,19 +234,6 @@ class KnnHandle(ClassifierHandle):
     def _vote(self, nearest: np.ndarray) -> float:
         """The score of a row whose k nearest training rows are ``nearest``."""
         return float(self._labels[nearest].sum()) / self.k
-
-    def _terms(self, x: Instance, store=None) -> np.ndarray:
-        """(features, training rows) matrix of the distance terms of a checked row.
-
-        The rows are copied from ``store``, a term store over this training
-        set, when one is given: its terms for this handle's range scales.
-        """
-        out = np.empty((len(self.stats), len(self.train)), dtype=np.float64)
-        with np.errstate(over="ignore"):  # a term too large for a float is inf, as in score_batch
-            for j, (stat, column) in enumerate(zip(self.stats, self.train.columns())):
-                out[j] = (_feature_terms(stat, stat.range, column, x[j]) if store is None
-                          else store.terms(j, stat.range, x[j]))
-        return out
 
 
 def _schema_sum(terms: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from nicecf.distance import (
     nearest_unlike_neighbor,
 )
 from nicecf.errors import DistanceError, EncodeError, NoUnlikeNeighborError
+from nicecf.explainers import RewardKind, SearchContext, explain_nice
+from nicecf.model import train_logistic
 from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, FeatureStats, fit_stats
 from strategies import FEW_NUMBERS, NUMBERS, mixed_tables, nearest_order
 
@@ -75,6 +79,44 @@ class TestHeom:
     def test_non_number_weights(self, tiny_stats, bad):
         with pytest.raises(DistanceError, match="positive and finite"):
             check_weights(tiny_stats, [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, False, float("nan"), np.float64("nan"),
+                                     float("inf"), np.float32("inf"), 0, np.int64(0), 0.0,
+                                     -1.0, np.int64(-2), np.float32(-0.5)])
+    def test_rejected_weight_is_named_with_its_feature(self, tiny_stats, bad):
+        message = f"weight for '{tiny_stats[1].name}' must be positive and finite, got {bad!r}"
+        with pytest.raises(DistanceError, match=f"^{re.escape(message)}$"):
+            check_weights(tiny_stats, [1.0, bad])
+
+
+# NumPy weights and the Python floats they equal.
+NUMPY_WEIGHTS = [
+    ([np.int64(2), np.float32(0.5), np.float64(1.0), np.int32(3)], [2.0, 0.5, 1.0, 3.0]),
+    (np.ones(4, dtype=np.float32), [1.0, 1.0, 1.0, 1.0]),
+    (np.array([3, 1, 2, 1], dtype=np.int64), [3.0, 1.0, 2.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("numpy_weights, floats", NUMPY_WEIGHTS)
+def test_numpy_weights_give_the_bits_of_equal_floats(mixed_dataset, numpy_weights, floats):
+    stats = fit_stats(mixed_dataset)
+    checked = check_weights(stats, numpy_weights)
+    assert [type(w) for w in checked] == [float] * 4
+    assert [w.hex() for w in checked] == [w.hex() for w in floats]
+    x = mixed_dataset.rows[3]
+    assert [v.hex() for v in heom_to_rows(stats, x, mixed_dataset, numpy_weights).tolist()] == [
+        v.hex() for v in heom_to_rows(stats, x, mixed_dataset, floats).tolist()]
+    for row in mixed_dataset.rows[:20]:
+        assert heom(stats, x, row, numpy_weights).hex() == heom(stats, x, row, floats).hex()
+    model = train_logistic(stats, mixed_dataset)
+    outcomes = []
+    for weights in (numpy_weights, floats):
+        ctx = SearchContext(mixed_dataset, stats, model, weights)
+        assert ctx.weights == checked
+        expl = explain_nice(x, RewardKind.PROXIMITY, ctx)
+        outcomes.append((expl.counterfactual, expl.anchor_index,
+                         [(s.feature, s.reward.hex(), s.score.hex()) for s in expl.trace]))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestHeomToRows:

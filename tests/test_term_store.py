@@ -1,14 +1,16 @@
-"""Scans through a source's term store give the bits of scans that compute every term.
+"""Scans that read a source's term store give the bits of scans that compute every term.
 
 A store keys each feature's unweighted terms by (feature index, scale,
 value), so one test table here repeats a feature as a mirror (its column
 reversed, each instance holding the same value in both), and every source
 is scanned with range and with std scales, and again as a twin whose values
 are equal but not identical (``0.0`` and ``-0.0``, ``2`` and ``2.0``). A
-second source's store takes over the first one's buffer, after which both
-must still scan right, and a store keeps only its source's and anchor's
-range-scaled terms. Then the seven explainers and their metrics, run
-source after source on one context, must give what cold calls give.
+store is read by every scan over its own training set while it is its
+thread's newest, and by no scan over another one. A second source's store
+takes over the first one's buffer and empties it, and a store keeps only its
+source's and anchor's range-scaled terms. Then the seven explainers and
+their metrics, run source after source on one context, must give what cold
+calls give.
 """
 
 import dataclasses
@@ -17,15 +19,16 @@ import math
 import sys
 import threading
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nicecf.evaluation
+import nicecf.distance
 import nicecf.explainers
-from nicecf.distance import _TermStore, heom_to_rows
+from nicecf.distance import _newest_store, _term_matrix, _TermStore, heom_to_rows
 from nicecf.evaluation import compute_metrics
 from nicecf.explainers import RewardKind, SearchContext, explain_nice
 from nicecf.model import KnnHandle, train_knn_classifier, train_logistic
@@ -72,43 +75,44 @@ def store_problems(draw):
 @given(store_problems(), st.permutations(range(3)))
 @settings(max_examples=300, deadline=None)
 def test_scans_through_the_store_match_the_plain_scans(problem, order):
-    train, (x, y, x_twin, y_twin), weights = problem
+    train, xs, weights = problem
+    x, y, x_twin, y_twin = xs
     stats = _plan(fit_stats(train))
     ctx = SearchContext(train, stats, train_knn_classifier(stats, train, k=1), weights)
-    knn = ctx.model
+    # The same schema and statistics, the rows in reverse: no store of train may serve it.
+    reversed_train = Dataset(train.schema, train.rows[::-1], train.labels[::-1])
 
-    def expected(v):
-        return (hexes(heom_to_rows(stats, v, train, ctx.weights)),
-                hexes(nicecf.explainers._wit_distances(ctx, v)),
-                [hexes(row) for row in knn._terms(v)])
-
-    def through(store, v):
-        """The three scans of ``v`` through ``store``, in the drawn order."""
-        scans = (lambda: hexes(store.scan(v, ctx.weights)),
-                 lambda: hexes(nicecf.explainers._wit_distances(ctx, v, store)),
-                 lambda: [hexes(row) for row in knn._terms(v, store)])
+    def scans(v):
+        """heom_to_rows, _wit_distances and the kNN term matrix of ``v``, run in the drawn order."""
+        runs = (lambda: hexes(heom_to_rows(stats, v, train, ctx.weights)),
+                lambda: hexes(nicecf.explainers._wit_distances(ctx, v)),
+                lambda: [hexes(row) for row in _term_matrix(stats, v, train)])
         got = [None] * 3
         for i in order:
-            got[i] = scans[i]()
-        return tuple(got)
+            got[i] = runs[i]()
+        return (tuple(got), hexes(heom_to_rows(stats, v, reversed_train, ctx.weights)),
+                [hexes(row) for row in _term_matrix(stats, v, reversed_train)])
 
     def kept_only_source_and_anchor(store, source, anchor):
         return all(scale == stats[j].range and value in (source[j], anchor[j])
                    for j, scale, value in store)
 
+    assert _newest_store(train) is None and _newest_store(reversed_train) is None
+    expected = [scans(v) for v in xs]  # no store covers either table yet
     first = _TermStore(train, stats, x)
-    assert through(first, y) == expected(y)  # y is not yet the anchor, so its terms are not kept
+    assert _newest_store(train) is first and _newest_store(reversed_train) is None
+    assert scans(y) == expected[1]  # y is not yet the anchor, so its terms are not kept
     first.anchor = y
-    for v in (x, x_twin, y, x):
-        assert through(first, v) == expected(v)
+    for i in (0, 2, 1, 0):
+        assert scans(xs[i]) == expected[i]
     assert kept_only_source_and_anchor(first, x, y)
-    second = _TermStore(train, stats, y_twin, first)  # takes over the first store's buffer
-    for v in (y_twin, x):
-        assert through(second, v) == expected(v)
+    second = _TermStore(train, stats, y_twin)  # takes over the first store's buffer
+    assert _newest_store(train) is second and len(first) == 0
+    for i in (3, 0):
+        assert scans(xs[i]) == expected[i]
     second.anchor = x_twin
-    for v in (x, y, y_twin):
-        assert through(second, v) == expected(v)
-    assert through(first, x) == expected(x)
+    for i in (0, 1, 3):
+        assert scans(xs[i]) == expected[i]
     assert kept_only_source_and_anchor(second, y, x) and len(second) <= 2 * len(stats)
 
 
@@ -141,6 +145,41 @@ MODELS = {
 }
 
 
+def count_terms(train, monkeypatch):
+    """A list that gets (feature index, scale, range, value) of each ``_feature_terms`` call."""
+    feature = {id(column): j for j, column in enumerate(train.columns())}
+    calls = []
+    compute = nicecf.distance._feature_terms
+
+    def counted(stat, scale, column, value, out=None):
+        if id(column) in feature:
+            calls.append((feature[id(column)], scale, stat.range, value))
+        return compute(stat, scale, column, value, out)
+
+    monkeypatch.setattr(nicecf.distance, "_feature_terms", counted)
+    return calls
+
+
+def own_terms(calls, source, anchor):
+    """How often ``calls`` computed each range-scaled term of ``source``'s and ``anchor``'s values.
+
+    Keyed by (feature index, 0 for the source's value or 1 for the anchor's).
+    """
+    counts = Counter()
+    for j, scale, range_, value in calls:
+        if scale == range_ and value == source[j]:
+            counts[j, 0] += 1
+        elif scale == range_ and anchor is not None and value == anchor[j]:
+            counts[j, 1] += 1
+    return counts
+
+
+def each_once(source, anchor):
+    """``own_terms`` when every term of the source's and the anchor's values was computed once."""
+    return Counter({(j, which): 1 for j in range(len(source)) for which in (0, 1)
+                    if which == 0 or anchor is not None and anchor[j] != source[j]})
+
+
 def store_context(data, model):
     train, sources, stats = held_out(data)
     ctx = SearchContext(train, stats, MODELS[model](stats, train), scorer=hash_scorer)
@@ -150,21 +189,28 @@ def store_context(data, model):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_query_major_reuse_gives_the_cold_results(quantized_dataset, model, monkeypatch):
-    # All seven explainers, each followed by its metrics, source after source:
-    # every metric scan reads the source's store instead of heom_to_rows.
+    # All seven explainers, each followed by its metrics, source after source.
+    # The source's store keeps its source's and its anchor's terms, so no
+    # metric scan computes one that an earlier scan of the source computed:
+    # each is computed once per source, the source's before any metric scan.
     ctx, sources = store_context(quantized_dataset, model)
     expected = [cold(x0, eid, ctx, i) for i, x0 in enumerate(sources) for eid in ALL_EXPLAINERS]
-    plain_scans = []
-    scan = nicecf.evaluation.heom_to_rows
-    monkeypatch.setattr(nicecf.evaluation, "heom_to_rows",
-                        lambda *args: plain_scans.append(args[1]) or scan(*args))
-    got = []
+    calls = count_terms(ctx.train, monkeypatch)
+    got, anchors = [], 0
     for i, x0 in enumerate(sources):
+        calls.clear()
+        metric_calls = []
         for explain in ALL_EXPLAINERS.values():
             expl = explain(x0, ctx)
+            start = len(calls)
             got.append(results(expl, compute_metrics(expl, ctx, i)))
+            metric_calls += calls[start:]
+        anchor = ctx._last_source.record.store.anchor
+        anchors += anchor is not None
+        assert own_terms(calls, x0, anchor) == each_once(x0, anchor)
+        assert all(which == 1 for _, which in own_terms(metric_calls, x0, anchor))
     assert got == expected
-    assert plain_scans == []
+    assert anchors > 0
 
 
 def test_two_threads_on_interleaved_sources_give_the_cold_results(quantized_dataset):
@@ -199,6 +245,34 @@ def test_two_threads_on_interleaved_sources_give_the_cold_results(quantized_data
     assert [key for results_ in got for key, _ in results_] == [
         (i, eid) for t in range(2) for i in range(t, len(sources), 2) for eid in ALL_EXPLAINERS]
     assert all(out == expected[key] for results_ in got for key, out in results_)
+
+
+def test_each_term_of_a_fresh_source_and_its_anchor_is_computed_once(quantized_dataset,
+                                                                     monkeypatch):
+    # The record registers its store before it scores the source, so the kNN
+    # model's score of the source fills the store that the neighbour scan,
+    # the swap states, the baselines and every metric scan then read.
+    ctx, sources = store_context(quantized_dataset, "knn3")
+    calls = count_terms(ctx.train, monkeypatch)
+    x0 = sources[0]
+    for explain in ALL_EXPLAINERS.values():
+        compute_metrics(explain(x0, ctx), ctx)
+    anchor = ctx._last_source.record.store.anchor
+    assert anchor is not None
+    assert own_terms(calls, x0, anchor) == each_once(x0, anchor)
+
+
+def test_the_registry_keeps_no_store_or_training_set_alive(quantized_dataset):
+    ctx, sources = store_context(quantized_dataset, "knn3")
+    for i, x0 in enumerate(sources[:3]):
+        for explain in ALL_EXPLAINERS.values():
+            compute_metrics(explain(x0, ctx), ctx, i)
+    store = ctx._last_source.record.store
+    assert _newest_store(ctx.train) is store
+    refs = [weakref.ref(ctx.train), weakref.ref(store)]
+    del ctx, store
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_a_thread_keeps_only_its_last_sources_store(quantized_dataset):
