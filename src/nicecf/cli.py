@@ -21,9 +21,9 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .distance import check_weights
 from .errors import (
@@ -174,7 +174,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (_UsageError, ConfigError, IngestError, StatsError, EncodeError, TrainError,
-            OSError) as exc:
+            DistanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EngineError as exc:
@@ -205,21 +205,16 @@ def _load_weights(args, stats) -> tuple[float, ...] | None:
         raise ConfigError(f"weights file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("weights file must map feature names to numbers")
-    names = {s.name for s in stats}
-    unknown = set(doc) - names
+    unknown = set(doc) - {s.name for s in stats}
     if unknown:
         raise ConfigError(f"weights for unknown features: {sorted(unknown)}")
-    try:
-        return check_weights(stats, [doc.get(s.name, 1.0) for s in stats])
-    except DistanceError as exc:
-        raise ConfigError(str(exc)) from exc
+    return check_weights(stats, [doc.get(s.name, 1.0) for s in stats])
 
 
 def _single_model_spec(args) -> str:
-    specs = args.model
-    if len(specs) != 1:
+    if len(args.model) != 1:
         raise _UsageError("exactly one --model is expected here")
-    return specs[0]
+    return args.model[0]
 
 
 def _build_model(spec: str, stats, train: Dataset) -> ClassifierHandle:
@@ -291,30 +286,6 @@ def _emit(args, name: str, payload) -> None:
         print(f"wrote {path}")
 
 
-def _run_instances(
-    instances: Sequence[tuple[int, Instance]], explainer_ids: Sequence[str],
-    ctx: SearchContext, workers: int,
-) -> list[tuple[int, Explanation]]:
-    """The one batch path: run every explainer on every ``(instance id, row)`` pair.
-
-    Warms ``ctx`` first, so workers share a read-only context. Returns one
-    ``(instance_id, explanation)`` pair per attempt, instance-major; an attempt
-    that found no counterfactual is an explanation with ``valid=False``.
-    """
-    ctx.warm(include_case_base="cbr" in explainer_ids)
-    fns = [_explainer_fn(eid) for eid in explainer_ids]
-
-    def one(instance: tuple[int, Instance]) -> list[tuple[int, Explanation]]:
-        iid, x0 = instance
-        return [(iid, fn(x0, ctx)) for fn in fns]
-
-    # Inline for one worker: a pool's exit would make Ctrl-C wait out every queued task.
-    if workers == 1:
-        return [attempt for instance in instances for attempt in one(instance)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [attempt for attempts in pool.map(one, instances) for attempt in attempts]
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -336,17 +307,42 @@ def _cmd_describe(args) -> int:
     return 0
 
 
-@contextmanager
-def _search_context(args, data: Dataset, spec: str) -> Iterator[SearchContext]:
-    """A search context over ``data``; its model is closed when the block exits.
+def _explain_batch(
+    args, data: Dataset, instances: Sequence[tuple[int, Instance]],
+    explainer_ids: Sequence[str], spec: str,
+) -> tuple[SearchContext, list[tuple[int, Explanation]]]:
+    """The one batch path: run every explainer on every ``(instance id, row)`` pair.
 
-    ``compute_metrics`` never calls the model, so it may run on the context after.
+    Returns the warmed context over ``data``, its model already closed (``compute_metrics``
+    never calls it), and one ``(instance id, explanation)`` pair per attempt,
+    instance-major; an attempt that found no counterfactual has ``valid=False``.
     """
+    log.info("explaining %d instances with %s", len(instances), explainer_ids)
     stats = fit_stats(data)
     weights = _load_weights(args, stats)
     with closing(_build_model(spec, stats, data)) as model:
         ae = train_autoencoder(data, AEConfig(seed=args.seed), stats)
-        yield SearchContext(data, stats, model, weights, ae_scorer(ae, stats))
+        ctx = SearchContext(data, stats, model, weights, ae_scorer(ae, stats))
+        ctx.warm(include_case_base="cbr" in explainer_ids)
+        fns = [_explainer_fn(eid) for eid in explainer_ids]
+
+        def one(instance: tuple[int, Instance]) -> list[tuple[int, Explanation]]:
+            iid, x0 = instance
+            return [(iid, fn(x0, ctx)) for fn in fns]
+
+        # Inline for one worker: a pool's exit would make Ctrl-C wait out every queued task.
+        if args.workers == 1:
+            batches = [one(instance) for instance in instances]
+        else:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                batches = list(pool.map(one, instances))
+    return ctx, [attempt for batch in batches for attempt in batch]
+
+
+def _test_split(args) -> tuple[Dataset, list[tuple[int, Instance]]]:
+    """The training split, and the test split's first rows as ``(index, row)`` pairs."""
+    train, test = split(_labeled(args), args.test_fraction, args.seed)
+    return train, list(enumerate(test.rows))[: args.max_instances]
 
 
 def _cmd_explain(args) -> int:
@@ -357,36 +353,21 @@ def _cmd_explain(args) -> int:
         rows = [(args.index, data.rows[args.index])]
     else:
         raise ConfigError(f"--index {args.index} outside 0..{len(data) - 1}")
-    with _search_context(args, data, _single_model_spec(args)) as ctx:
-        attempts = _run_instances(rows, [f"nice-{args.variant}"], ctx, args.workers)
+    ctx, attempts = _explain_batch(args, data, rows, [f"nice-{args.variant}"],
+                                   _single_model_spec(args))
     names = [s.name for s in data.schema]
     docs = []
     for row_index, expl in attempts:
         rec = compute_metrics(expl, ctx, row_index)
-        doc = explanation_to_dict(expl, names, {m: getattr(rec, m) for m in REPORT_METRICS})
-        doc["row"] = row_index
-        docs.append(doc)
+        metrics = {m: getattr(rec, m) for m in REPORT_METRICS}
+        docs.append({**explanation_to_dict(expl, names, metrics), "row": row_index})
     _emit(args, "explanations.json", docs[0] if args.index is not None else docs)
     return 0
 
 
-def _explain_test_split(
-    args, spec: str, explainer_ids: Sequence[str]
-) -> tuple[SearchContext, list[tuple[int, Explanation]]]:
-    """Explain the test split; the returned context's model is already closed.
-
-    Only ``benchmark`` makes metric records from the attempts; ``robustness`` makes none.
-    """
-    train, test = split(_labeled(args), args.test_fraction, args.seed)
-    instances = list(enumerate(test.rows))[: args.max_instances]
-    log.info("explaining %d instances with %s", len(instances), explainer_ids)
-    with _search_context(args, train, spec) as ctx:
-        return ctx, _run_instances(instances, explainer_ids, ctx, args.workers)
-
-
 def _cmd_benchmark(args) -> int:
-    spec = _single_model_spec(args)
-    ctx, attempts = _explain_test_split(args, spec, _parse_explainers(args.explainers))
+    spec, explainer_ids = _single_model_spec(args), _parse_explainers(args.explainers)
+    ctx, attempts = _explain_batch(args, *_test_split(args), explainer_ids, spec)
     records = [compute_metrics(expl, ctx, iid) for iid, expl in attempts]
     out = _ensure_out(args)
     write_records_csv(records, out / "records.csv")
@@ -404,7 +385,7 @@ def _cmd_robustness(args) -> int:
     if len(specs) != 2:
         raise _UsageError("robustness needs exactly two --model specs")
     explainer_ids = _parse_explainers(args.explainers)
-    ctx, attempts = _explain_test_split(args, specs[0], explainer_ids)
+    ctx, attempts = _explain_batch(args, *_test_split(args), explainer_ids, specs[0])
     fractions: dict[str, float | None] = {}
     with closing(_build_model(specs[1], ctx.stats, ctx.train)) as other:
         for eid in explainer_ids:

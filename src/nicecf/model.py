@@ -32,6 +32,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import numbers
 import shlex
 import subprocess
 import threading
@@ -327,20 +328,20 @@ def train_knn_classifier(
 ) -> KnnHandle:
     """Memorize the training rows; score = class-1 fraction among the k nearest.
 
-    ``k`` must be odd so a vote can never split evenly, and no larger than the
-    training set. Distances are the unweighted HEOM of :func:`heom_to_rows`,
-    and the k nearest are the first k in :func:`k_smallest` order. ``stats``
-    must name the training schema's features in order.
+    ``k`` must be an odd integer (not a bool), so that no vote splits evenly,
+    and at most the training size. Distances are the unweighted HEOM of
+    :func:`heom_to_rows`, and the k nearest are the first k in
+    :func:`k_smallest` order. ``stats`` must name the training schema's features in order.
     """
     if train.labels is None:
         raise TrainError("training dataset has no labels")
     if len(train) == 0:
         raise TrainError("cannot train on an empty dataset")
-    if k < 1 or k % 2 == 0:
-        raise ConfigError(f"k must be a positive odd number, got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1 or k % 2 == 0:
+        raise ConfigError(f"k must be a positive odd integer, got {k!r}")
     if k > len(train):
         raise ConfigError(f"k={k} exceeds training size {len(train)}")
-    return KnnHandle(stats, train, k)
+    return KnnHandle(stats, train, int(k))
 
 
 # --- external models -------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,8 +67,7 @@ class AEConfig:
 
     def __post_init__(self):
         _check_descent(self.epochs, self.step)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        SplitMix64(self.seed)  # the seed rule: ConfigError for anything but an integer
 
 
 class AEModel:
@@ -149,7 +147,7 @@ def train_autoencoder(
         log.warning("all training rows encode identically; autoencoder will be degenerate")
     m = X.shape[1]
     h = math.ceil(m / 2)
-    rng = SplitMix64(int(config.seed))  # a NumPy integer overflows against the 64-bit mask
+    rng = SplitMix64(config.seed)
 
     def draw(shape: tuple[int, ...]) -> np.ndarray:
         flat = np.asarray([rng.uniform(-0.1, 0.1) for _ in range(int(np.prod(shape)))])

@@ -10,6 +10,10 @@ across platforms and library versions.
 
 from __future__ import annotations
 
+import numbers
+
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -17,10 +21,13 @@ class SplitMix64:
     """SplitMix64 generator (Steele, Lea & Flood's mixing constants).
 
     state' = state + 0x9E3779B97F4A7C15 (mod 2^64), output = mix(state').
+    ``seed`` is any integer but a bool, mod 2^64; else :class:`ConfigError`.
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""

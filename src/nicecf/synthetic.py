@@ -9,6 +9,7 @@ package's deterministic generator, so a seed fully defines the dataset.
 from __future__ import annotations
 
 import itertools
+import numbers
 import string
 from pathlib import Path
 
@@ -35,9 +36,12 @@ def make_dataset(
     ``quantize`` snaps numerical values to that grid step, which makes
     duplicate values (and near-duplicate rows) common.
     """
+    counts = (n_rows, n_num, n_cat, n_categories)
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+        raise ConfigError(f"counts must be integers, got {counts!r}")
     if n_rows < 1 or n_num < 0 or n_cat < 0 or n_num + n_cat < 1:
         raise ConfigError("need at least one row and one feature")
-    if not 0.0 <= noise <= 1.0:
+    if not (isinstance(noise, numbers.Real) and 0.0 <= noise <= 1.0):
         raise ConfigError("noise must be in [0, 1]")
     if n_categories < 2 or n_categories > len(string.ascii_lowercase):
         raise ConfigError("n_categories must be between 2 and 26")

@@ -347,8 +347,8 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     :class:`ConfigError`. Statistics are not carried over: refit on the
     returned train split.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not (isinstance(test_fraction, numbers.Real) and 0.0 < test_fraction < 1.0):
+        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
     n = len(dataset)
     n_train = math.ceil(n * (1.0 - test_fraction))
     if not 0 < n_train < n:

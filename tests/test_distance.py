@@ -167,6 +167,17 @@ class TestKNearest:
         with pytest.raises(DistanceError):
             k_nearest(tiny_stats, (10.0, "red"), tiny_dataset, 5)
 
+    @pytest.mark.parametrize("k", [2.0, "2", True, np.True_, None, np.float64(1.0)])
+    def test_k_must_be_an_integer(self, tiny_dataset, tiny_stats, k):
+        with pytest.raises(DistanceError, match="^k must be an integer >= 1, got "):
+            k_nearest(tiny_stats, (10.0, "red"), tiny_dataset, k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint16(3), np.int8(4)])
+    def test_numpy_integer_k_gives_the_plain_rows(self, tiny_dataset, tiny_stats, k):
+        got = k_nearest(tiny_stats, (10.0, "red"), tiny_dataset, k)
+        assert got == k_nearest(tiny_stats, (10.0, "red"), tiny_dataset, int(k))
+        assert all(type(i) is int for i in got)
+
     def test_wrong_length_rejected(self, tiny_dataset, tiny_stats):
         for bad in ((10.0,), (10.0, "red", 1.0)):
             with pytest.raises(EncodeError, match=rf"^row has {len(bad)} values, schema has 2$"):

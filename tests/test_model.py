@@ -111,6 +111,24 @@ class TestKnn:
         with pytest.raises(ConfigError):
             train_knn_classifier(tiny_stats, tiny_dataset, k=5)
 
+    @pytest.mark.parametrize("k", [3.0, "3", True, np.True_, None, np.float64(3.0), 4.5])
+    def test_k_must_be_an_integer(self, tiny_dataset, tiny_stats, k):
+        with pytest.raises(ConfigError, match="^k must be a positive odd integer, got "):
+            train_knn_classifier(tiny_stats, tiny_dataset, k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(5), np.int32(1), np.uint8(3)])
+    def test_numpy_integer_k_gives_the_plain_scores(self, quantized_dataset, k):
+        stats = fit_stats(quantized_dataset)
+        plain = train_knn_classifier(stats, quantized_dataset, k=int(k))
+        got = train_knn_classifier(stats, quantized_dataset, k=k)
+        rows = quantized_dataset.rows[:40]
+        assert got.score_batch(rows).tobytes() == plain.score_batch(rows).tobytes()
+        assert [got.score(x).hex() for x in rows[:5]] == [plain.score(x).hex() for x in rows[:5]]
+        # The swap state scores hybrids through k as well.
+        swapped = [s.scores(range(len(rows[0]))) for s in (
+            model.swap_state(rows[0], rows[1]) for model in (got, plain))]
+        assert [float(v).hex() for v in swapped[0]] == [float(v).hex() for v in swapped[1]]
+
     def test_score_batch_matches_single(self, quantized_dataset):
         stats = fit_stats(quantized_dataset)
         model = train_knn_classifier(stats, quantized_dataset, k=5)

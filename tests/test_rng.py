@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from nicecf.errors import ConfigError
 from nicecf.rng import SplitMix64
 
 
@@ -40,6 +42,28 @@ def test_randrange_covers_all_values():
     r = SplitMix64(12)
     seen = {r.randrange(6) for _ in range(300)}
     assert seen == {0, 1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("seed, numpy_seed", [
+    (3, np.int64(3)), (-3, np.int64(-3)), (2**63, np.uint64(2**63)),
+    (2**64 - 1, np.uint64(2**64 - 1)), (7, np.int8(7)),
+])
+def test_numpy_integer_seed_gives_the_plain_stream(seed, numpy_seed):
+    a, b = SplitMix64(seed), SplitMix64(numpy_seed)
+    got = [b.next_u64() for _ in range(20)]
+    assert got == [a.next_u64() for _ in range(20)]
+    assert all(type(v) is int for v in got)
+
+
+def test_seed_is_taken_mod_two_to_the_64():
+    a, b = SplitMix64(5), SplitMix64(5 + 2**64)
+    assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.True_, "3", None, np.float64(3.0)])
+def test_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer, got "):
+        SplitMix64(seed)
 
 
 def test_randrange_rejects_bad_n():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nicecf.errors import ConfigError
@@ -20,10 +21,31 @@ from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, load_dataset, load
     ({"n_categories": 1}, "n_categories must be between 2 and 26"),
     ({"n_categories": 27}, "n_categories must be between 2 and 26"),
     ({"quantize": 0.0}, "quantize must be a positive step"),
+    ({"noise": "0.1"}, "noise must be in [0, 1]"),
+    ({"noise": None}, "noise must be in [0, 1]"),
+    ({"n_rows": 10.5}, "counts must be integers, got (10.5, 2, 1, 3)"),
+    ({"n_num": 2.0}, "counts must be integers, got (10, 2.0, 1, 3)"),
+    ({"n_cat": "1"}, "counts must be integers, got (10, 2, '1', 3)"),
+    ({"n_categories": True}, "counts must be integers, got (10, 2, 1, True)"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
 ])
 def test_bad_arguments_rejected(change, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         make_dataset(**{"n_rows": 10, "n_num": 2, "n_cat": 1, "seed": 0, **change})
+
+
+@pytest.mark.parametrize("seed, numpy_seed", [
+    (3, np.int64(3)), (2**64 - 1, np.uint64(2**64 - 1)),
+])
+def test_numpy_integers_give_the_plain_dataset(seed, numpy_seed):
+    plain = make_dataset(30, 2, 2, seed, noise=0.1, n_categories=4)
+    got = make_dataset(np.int64(30), np.int32(2), np.uint8(2), numpy_seed, noise=0.1,
+                       n_categories=np.int16(4))
+    assert [s.categories for s in got.schema] == [s.categories for s in plain.schema]
+    assert (got.rows, got.labels) == (plain.rows, plain.labels)
+    assert all(type(v) is type(p) for row, prow in zip(got.rows, plain.rows)
+               for v, p in zip(row, prow))
 
 
 def test_saved_pair_loads_back(tmp_path):

@@ -290,10 +290,22 @@ class TestSplit:
         for row, label in zip(train.rows, train.labels):
             assert original[row] == label
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5, "0.2", None, math.nan])
     def test_bad_fraction(self, mixed_dataset, fraction):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^test_fraction must be in"):
             split(mixed_dataset, fraction, seed=0)
+
+    @pytest.mark.parametrize("seed, numpy_seed", [
+        (3, np.int64(3)), (2**64 - 1, np.uint64(2**64 - 1)),
+    ])
+    def test_numpy_integer_seed_gives_the_plain_split(self, mixed_dataset, seed, numpy_seed):
+        got, plain = split(mixed_dataset, 0.25, numpy_seed), split(mixed_dataset, 0.25, seed)
+        assert [(d.rows, d.labels) for d in got] == [(d.rows, d.labels) for d in plain]
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_bad_seed(self, mixed_dataset, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer, got "):
+            split(mixed_dataset, 0.25, seed)
 
     def test_empty_side_rejected(self, mixed_dataset):
         # ceil(120 * 0.999) is 120: no test row is left.
