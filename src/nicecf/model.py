@@ -9,8 +9,8 @@ also override ``swap_state``, which serves the greedy search's one question
 ("score ``current`` with feature j taken from ``target``, for each j") for a
 whole search, as an exact fast path. The default builds the hybrids and
 calls ``score_batch``; the logistic model patches two encodings, and the
-kNN model updates one distance vector per hybrid and re-sums exactly only
-the rows near its k-th distance.
+kNN model adds one vector per hybrid and per taken feature to a distance
+vector and re-sums exactly only the rows near each hybrid's k-th distance.
 
 The logistic model has one row scorer over a matrix of encoded rows, one
 stacked BLAS call per batch, through which ``score``, ``score_batch`` and its
@@ -181,11 +181,12 @@ class KnnHandle(ClassifierHandle):
     one ``_weighted_scan`` (per-feature terms shared by the rows holding the
     same value), so a chunk's distance matrix stays a few megabytes however
     long the batch. Each row's neighbors are then selected with
-    :func:`k_smallest`, not by sorting all its distances. Scores are
-    bit-identical to ``heom_to_rows`` followed by a full (distance, row index)
-    sort, one row at a time. ``swap_state`` gives the same scores from
-    distance terms kept for the whole search (see :class:`_KnnSwaps`), or
-    the default when some distance it could meet is infinite or too large.
+    :func:`k_smallest`, not by sorting all its distances, and ``_votes``
+    casts all their votes at once. Scores are bit-identical to
+    ``heom_to_rows`` and a full (distance, row index) sort, one row at a
+    time. ``swap_state`` gives the same scores from distance terms kept for
+    the whole search (see :class:`_KnnSwaps`), or the default when some
+    distance it could meet is infinite or too large.
     Statistics that do not describe ``train`` raise :class:`DistanceError`.
     A row that breaks ``train.rule`` (which ``fit_stats(train)`` carries
     too), a row of the wrong length included, raises :class:`EncodeError`
@@ -211,38 +212,35 @@ class KnnHandle(ClassifierHandle):
         """
         self.train.rule.check(current)
         self.train.rule.check(target)
-        cur, tgt = (_term_matrix(self.stats, x, self.train) for x in (current, target))
-        # Each term of a row the search reaches is current's or target's, so
-        # no distance it meets exceeds ``reach``. The headroom keeps every sum
-        # within the error bound of it finite; an inf term fails the test too.
-        with np.errstate(over="ignore"):
-            reach = float(np.maximum(cur, tgt).sum(axis=0).max(initial=0.0))
-        if not reach <= np.finfo(np.float64).max / 4:
+        state = _KnnSwaps(*(_term_matrix(self.stats, x, self.train) for x in (current, target)),
+                          self.k, self._votes)
+        # The headroom keeps every sum within the error bound of reach finite.
+        if not state.reach <= np.finfo(np.float64).max / 4:
             return super().swap_state(current, target)
-        return _KnnSwaps(cur, tgt, reach, self.k, self._vote)
+        return state
 
     def score_batch(self, xs: Sequence[Instance]) -> np.ndarray:
         for x in xs:
             self.train.rule.check(x)
-        out = np.empty(len(xs), dtype=np.float64)
+        nearest = np.empty((len(xs), self.k), dtype=np.intp)
         for start in range(0, len(xs), self.CHUNK_ROWS):
             chunk = xs[start : start + self.CHUNK_ROWS]
             d = _weighted_scan(self.stats, self._ranges, chunk, self.train, self._weights)
             for i, row in enumerate(d, start):
-                out[i] = self._vote(k_smallest(row, self.k))
-        return out
+                nearest[i] = k_smallest(row, self.k)
+        return self._votes(nearest)
 
-    def _vote(self, nearest: np.ndarray) -> float:
-        """The score of a row whose k nearest training rows are ``nearest``."""
-        return float(self._labels[nearest].sum()) / self.k
+    def _votes(self, nearest: np.ndarray) -> np.ndarray:
+        """The score of each row of ``nearest``, a (rows, k) matrix of nearest training rows."""
+        return self._labels[nearest].sum(axis=1) / self.k
 
 
 def _schema_sum(terms: np.ndarray) -> np.ndarray:
-    """Column sums of a (features, n) term matrix, added in schema order as in ``_weighted_scan``."""
-    total = np.zeros(terms.shape[1], dtype=np.float64)
-    for row in terms:
-        total += row
-    return total
+    """Column sums of a C-contiguous (features, n) matrix, added in schema order as in a scan."""
+    # np.add.reduce over axis 0 adds such a matrix's rows in order, but it
+    # sums a lone column pairwise, so a lone column is summed as two copies.
+    n = terms.shape[1]
+    return np.add.reduce(terms if n > 1 else np.repeat(terms, 2, axis=1), axis=0)[:n]
 
 
 class _KnnSwaps:
@@ -250,26 +248,30 @@ class _KnnSwaps:
 
     It holds, per feature and training row, the distance terms of the
     current row (``cur``) and of ``target`` (``tgt``), their difference
-    ``step = tgt - cur``, and ``d``, the current row's exact distances: the
-    terms summed in schema order, as ``score_batch`` sums them. For the
-    hybrid taking feature j, ``approx = d + step[j]`` stands in for a scan.
-    ``scores`` keeps the rows whose ``approx`` lies within ``2 * delta`` of
-    the hybrid's k-th smallest ``approx``, re-sums only those exactly in
+    ``step = tgt - cur``, each feature's largest |step| (``move``), and
+    ``d``, the current row's distances: first its terms summed in schema
+    order, as ``score_batch`` sums them; ``take(j)`` copies j's terms into
+    ``cur`` and adds ``step[j]`` to ``d``. One state serves one search. For
+    the hybrid taking feature j, ``approx = d + step[j]`` stands in for a
+    scan. ``scores`` keeps the rows whose ``approx`` lies within 2 ``delta``
+    of the hybrid's k-th smallest ``approx``, re-sums only those exactly in
     schema order, and votes with the first k by (distance, row index): the
     rows ``score_batch`` picks, so every score is bit for bit the same.
-    ``take(j)`` copies j's terms from ``tgt`` into ``cur`` and re-sums ``d``.
-    One state serves one search.
 
     Why ``delta`` suffices. Let u = eps / 2, n the feature count, and M the
-    largest real distance the search can meet; ``reach`` is M summed in
-    floats, off by a factor of at most 1 + n u. Terms are finite and
-    non-negative, and a float addition or subtraction rounds by at most u of
-    its result, subnormal results included. For one hybrid and one row, let
-    s be the hybrid's schema-order sum and H its real sum: |s - H| <= (n - 1) u M.
-    ``d`` is off its real sum by at most (n - 1) u M, ``step[j]`` by u M (both
-    terms lie in [0, M]), and the addition by u M. So |approx - s| is at
-    most 2 n u M = n eps M, up to terms in (n u)^2, and
-    ``delta = 2 (n + 2) eps reach`` exceeds that by a factor over 2, which
+    largest real distance the search can meet. A term of a row it reaches is
+    current's or target's, so at most current's plus |step|, and
+    ``reach = (max(d) + sum(move)) (1 + 4 n eps)`` is at least M (inf or NaN
+    when a term is). Terms are finite and non-negative, and a float addition
+    or subtraction rounds by at most u of its result, subnormal results
+    included. For one hybrid and one row, let s be the hybrid's schema-order
+    sum and H its real sum: |s - H| <= (n - 1) u M. The first ``d`` is off
+    its real sum by at most (n - 1) u M. A take adds at most 2 u M, u M in
+    ``step[j]`` (both terms lie in [0, M]) and u M in the addition, and at
+    most n takes add any, as ``take`` zeroes ``step[j]``. So ``d`` stays
+    within (3 n - 1) u M, ``step[j]`` and the addition add 2 u M, and
+    |approx - s| <= 4 n u M = 2 n eps M, up to terms in (n u)^2.
+    ``delta = 4 (n + 2) eps reach`` exceeds that by a factor over 2, which
     covers rounding ``reach``, ``delta`` and the cut-offs below. Let kth be
     the hybrid's k-th smallest ``approx``. Its k rows have s <= kth + delta,
     so the k-th smallest s is at most kth + delta. A dropped row has
@@ -286,15 +288,16 @@ class _KnnSwaps:
     give the same kth and the same kept rows as all rows do.
     """
 
-    def __init__(self, cur: np.ndarray, tgt: np.ndarray, reach: float, k: int, vote):
-        self._cur = cur
-        self._tgt = tgt
-        self._step = tgt - cur
-        self._move = np.abs(self._step).max(axis=1, initial=0.0)
-        self._d = _schema_sum(cur)
-        self._delta = 2.0 * (len(cur) + 2) * np.finfo(np.float64).eps * reach
-        self._k = k
-        self._vote = vote
+    def __init__(self, cur: np.ndarray, tgt: np.ndarray, k: int, votes):
+        self._cur, self._tgt = cur, tgt
+        eps = np.finfo(np.float64).eps
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the reach test
+            self._step = tgt - cur
+            self._move = np.maximum(self._step.max(axis=1), -self._step.min(axis=1))
+            self._d = _schema_sum(cur)
+            self.reach = (self._d.max() + self._move.sum()) * (1.0 + 4.0 * len(cur) * eps)
+            self._delta = 4.0 * (len(cur) + 2) * eps * self.reach
+        self._k, self._votes = k, votes
 
     def scores(self, features: Sequence[int]) -> list:
         fs = np.asarray(features, dtype=np.intp)
@@ -302,23 +305,24 @@ class _KnnSwaps:
         move = self._move.take(fs).max(initial=0.0)
         kth_d = np.partition(self._d, k - 1)[k - 1]
         near = np.flatnonzero(self._d <= kth_d + 2.0 * (move + 2.0 * delta))
-        approx = self._step[np.ix_(fs, near)]
+        approx = self._step.take(near, axis=1).take(fs, axis=0)  # 3x faster than np.ix_
         approx += self._d[near]
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # Flat indices ascend, and so do their hybrids; 2-D nonzero is several times slower.
         hybrid, at = np.divmod(np.flatnonzero(approx <= (kth + 2.0 * delta)[:, None]), len(near))
         rows = near[at]
         feature = fs[hybrid]
-        terms = self._cur[:, rows]
+        terms = self._cur.take(rows, axis=1)  # C-contiguous, as _schema_sum needs
         terms[feature, np.arange(len(rows))] = self._tgt[feature, rows]
         ranked = rows[np.lexsort((rows, _schema_sum(terms), hybrid))]
-        return [self._vote(ranked[s : s + k]) for s in np.searchsorted(hybrid, np.arange(len(fs)))]
+        starts = np.searchsorted(hybrid, np.arange(len(fs)))
+        return self._votes(ranked[starts[:, None] + np.arange(k)]).tolist()
 
     def take(self, j: int) -> None:
+        self._d += self._step[j]
         self._cur[j] = self._tgt[j]
         self._step[j] = 0.0
         self._move[j] = 0.0
-        self._d = _schema_sum(self._cur)
 
 
 def train_knn_classifier(

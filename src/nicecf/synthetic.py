@@ -11,11 +11,17 @@ from __future__ import annotations
 import itertools
 import numbers
 import string
+import sys
 from pathlib import Path
 
 from .errors import ConfigError
 from .rng import SplitMix64
 from .tabular import Dataset, FeatureKind, FeatureSpec, Instance
+
+
+def _finite_real(v) -> bool:
+    """Whether ``v`` is a real number other than a bool that a float holds finitely."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
 
 
 def make_dataset(
@@ -41,11 +47,13 @@ def make_dataset(
         raise ConfigError(f"counts must be integers, got {counts!r}")
     if n_rows < 1 or n_num < 0 or n_cat < 0 or n_num + n_cat < 1:
         raise ConfigError("need at least one row and one feature")
-    if not (isinstance(noise, numbers.Real) and 0.0 <= noise <= 1.0):
+    if not (_finite_real(noise) and 0.0 <= noise <= 1.0):
         raise ConfigError("noise must be in [0, 1]")
+    if not _finite_real(separation):
+        raise ConfigError("separation must be a finite number")
     if n_categories < 2 or n_categories > len(string.ascii_lowercase):
         raise ConfigError("n_categories must be between 2 and 26")
-    if quantize is not None and quantize <= 0.0:
+    if quantize is not None and not (_finite_real(quantize) and quantize > 0.0):
         raise ConfigError("quantize must be a positive step")
     rng = SplitMix64(seed)
     centers0 = [rng.uniform(0.0, 2.0) for _ in range(n_num)]

@@ -13,6 +13,7 @@ to ``score_batch`` and to a brute-force vote, in float hex.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nicecf.model import (
     ClassifierHandle,
     LogisticHandle,
     _KnnSwaps,
+    _schema_sum,
     train_knn_classifier,
     train_logistic,
 )
@@ -370,19 +372,40 @@ class TestRowScorers:
             _row_errors(ae, _aligned_rows(2, 4))
 
 
+@st.composite
+def knn_searches(draw, numbers=None):
+    """A kNN search: (numbers, table, current, target, k, listed features, takes).
+
+    The labeled table and ``current`` come from ``mixed_tables`` over
+    ``numbers``, drawn from ``FEW_NUMBERS`` and ``WIDE_NUMBERS`` when not
+    given; ``target`` is a table row. The features to score and the features
+    taken may skip, repeat or reorder positions.
+    """
+    if numbers is None:
+        numbers = draw(st.sampled_from((FEW_NUMBERS, WIDE_NUMBERS)))
+    table, current = draw(mixed_tables(max_rows=12, numbers=numbers))
+    n, m = len(table), len(current)
+    table = Dataset(table.schema, table.rows,
+                    draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    k = draw(st.sampled_from([k for k in (1, 3, 5) if k <= n]))
+    target = draw(st.sampled_from(table.rows))
+    features = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    takes = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    return numbers, table, current, target, k, features, takes
+
+
+def exact_terms(stats, x, table):
+    """Each training row's distance terms from ``x``, by ``heom_feature``, as exact fractions."""
+    return [[Fraction(heom_feature(s, v, w)) for s, v, w in zip(stats, x, row)]
+            for row in table.rows]
+
+
 class TestKnnSwaps:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_every_score_matches_the_reference_through_a_search(self, data):
-        numbers = data.draw(st.sampled_from((FEW_NUMBERS, WIDE_NUMBERS)))
-        table, current = data.draw(mixed_tables(max_rows=12, numbers=numbers))
-        n, m = len(table), len(current)
-        table = Dataset(table.schema, table.rows,
-                        data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-        k = data.draw(st.sampled_from([k for k in (1, 3, 5) if k <= n]))
-        target = data.draw(st.sampled_from(table.rows))
-        features = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
-        takes = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+        numbers, table, current, target, k, features, takes = data.draw(knn_searches())
+        m = len(current)
         stats = fit_stats(table)
         model = train_knn_classifier(stats, table, k)
         state = model.swap_state(current, target)
@@ -399,6 +422,50 @@ class TestKnnSwaps:
                 swapped = hexes(state.scores(listed))
                 assert swapped == hexes(model.score_batch(hybrids))
                 assert swapped == hexes(knn_reference_score(stats, h, table, k) for h in hybrids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(knn_searches(WIDE_NUMBERS))
+    def test_the_updated_distances_keep_within_the_proven_bound(self, search):
+        # The docstring's bounds, in exact arithmetic: ``reach`` is at least
+        # M, the largest real distance the search can meet, and after any
+        # takes ``d`` is within (3 n - 1) u M of the current row's real
+        # distances. Every score also matches the references.
+        _, table, current, target, k, features, takes = search
+        n = len(current)
+        stats = fit_stats(table)
+        model = train_knn_classifier(stats, table, k)
+        state = model.swap_state(current, target)
+        fast = isinstance(state, _KnnSwaps)  # else some term is infinite or too large
+        if fast:
+            reachable = (sum(map(max, a, b)) for a, b in zip(
+                exact_terms(stats, current, table), exact_terms(stats, target, table)))
+            assert Fraction(state.reach) >= max(reachable)
+            bound = (3 * n - 1) * Fraction(np.finfo(np.float64).eps) / 2 * Fraction(state.reach)
+        current = list(current)
+        for j in [None, *takes]:
+            if j is not None:
+                state.take(j)
+                current[j] = target[j]
+            if fast:
+                real = [sum(terms) for terms in exact_terms(stats, current, table)]
+                assert all(abs(Fraction(d) - r) <= bound for d, r in zip(state._d, real))
+            for listed in (features, range(n)):
+                hybrids = swap_hybrids(current, target, listed)
+                swapped = hexes(state.scores(listed))
+                assert swapped == hexes(model.score_batch(hybrids))
+                assert swapped == hexes(knn_reference_score(stats, h, table, k) for h in hybrids)
+
+    @pytest.mark.parametrize("columns", [1, 2, 7, 8, 9, 150, 5000])
+    def test_the_column_sums_add_the_rows_in_schema_order(self, columns):
+        # The searches above draw at most 13 training rows; the state also
+        # sums thousands of columns, where a pairwise sum would differ.
+        rng = np.random.default_rng(columns)
+        for features in (1, 2, 3, 20, 40):
+            terms = rng.random((features, columns)) * 10.0 ** rng.integers(-8, 8, (features, columns))
+            total = np.zeros(columns)
+            for row in terms:
+                total += row
+            assert _schema_sum(terms).tobytes() == total.tobytes()
 
     def test_an_exact_tie_that_the_updated_distance_splits_goes_to_the_smaller_row(self):
         # Found by a search over small tables. The hybrids taking feature 0 or 1

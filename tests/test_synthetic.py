@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -29,6 +30,17 @@ from nicecf.tabular import Dataset, FeatureKind, FeatureSpec, load_dataset, load
     ({"n_categories": True}, "counts must be integers, got (10, 2, 1, True)"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"seed": True}, "seed must be an integer, got True"),
+    ({"noise": True}, "noise must be in [0, 1]"),
+    ({"noise": 10**400}, "noise must be in [0, 1]"),
+    ({"quantize": "0.5"}, "quantize must be a positive step"),
+    ({"quantize": math.nan}, "quantize must be a positive step"),
+    ({"quantize": math.inf}, "quantize must be a positive step"),
+    ({"quantize": True}, "quantize must be a positive step"),
+    ({"separation": "1"}, "separation must be a finite number"),
+    ({"separation": math.inf}, "separation must be a finite number"),
+    ({"separation": math.nan}, "separation must be a finite number"),
+    ({"separation": True}, "separation must be a finite number"),
+    ({"separation": 10**400}, "separation must be a finite number"),
 ])
 def test_bad_arguments_rejected(change, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
